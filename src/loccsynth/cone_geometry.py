@@ -1,7 +1,9 @@
 """Convex-cone intersection decisions over exact rationals.
 
 The decision kernel is a two-phase simplex with Bland's anti-cycling rule,
-run entirely over Fractions.  On top of it sit the cone queries the
+run entirely over Fractions.  Beside it sits the one strict-positivity LP
+(a solution with every coordinate positive) that cone tests, measurement
+validation and tree solving share.  On top sit the cone queries the
 synthesis engine consumes: pairwise/mutual nonzero intersection of cones of
 positive operators, proportionality, and enumeration of maximal mutually
 intersecting families.
@@ -163,6 +165,40 @@ def lp_maximize(p: LPProblem) -> tuple[str, Optional[list[Fraction]], Optional[F
     return _solve(p)
 
 
+def strict_positive_solution(rows, rhs, n: int) -> Optional[list[Fraction]]:
+    """A solution x of rows . x = rhs with every x_i > 0, or None.
+
+    Solved as max t subject to x_i - t - s_i = 0 and t + s = 1 over the
+    columns (x, t, one slack per x_i, the slack of t <= 1); x at the optimum
+    is returned when t* > 0.  Bland's rule makes the returned point depend
+    on this column and row order.
+    """
+    width = n + 1 + n + 1
+    t_col = n
+    full_rows = [tuple(row) + (Fraction(0),) * (width - n) for row in rows]
+    full_rhs = list(rhs)
+    for i in range(n):
+        row = [Fraction(0)] * width
+        row[i] = Fraction(1)
+        row[t_col] = Fraction(-1)
+        row[n + 1 + i] = Fraction(-1)
+        full_rows.append(tuple(row))
+        full_rhs.append(Fraction(0))
+    row = [Fraction(0)] * width
+    row[t_col] = Fraction(1)
+    row[width - 1] = Fraction(1)
+    full_rows.append(tuple(row))
+    full_rhs.append(Fraction(1))
+    objective = [Fraction(0)] * width
+    objective[t_col] = Fraction(1)
+    status, point, value = lp_maximize(
+        LPProblem(tuple(full_rows), tuple(full_rhs), width, tuple(objective))
+    )
+    if status != "optimal" or point is None or value is None or value <= 0:
+        return None
+    return point[:n]
+
+
 @dataclass(frozen=True)
 class Cone:
     """Cone of nonnegative combinations of nonzero PSD generators."""
@@ -194,15 +230,13 @@ class IntersectionWitness:
     common: HermitianOp
 
 
-def _intersection_problem(
-    cones: Sequence[Cone], strict: bool
-) -> tuple[LPProblem, list[int]]:
+def _intersection_problem(cones: Sequence[Cone]) -> tuple[LPProblem, list[int]]:
     """Encode 'all cones share a trace-one common point' as an equality LP.
 
-    Unknowns are the generator coefficients of every cone (plus a slack
-    variable t in strict mode).  Cone 1's combination is pinned to trace 1,
-    which is exactly nontriviality: a nonzero nonnegative combination of
-    nonzero PSD operators has strictly positive trace.
+    Unknowns are the generator coefficients of every cone.  Cone 1's
+    combination is pinned to trace 1, which is exactly nontriviality: a
+    nonzero nonnegative combination of nonzero PSD operators has strictly
+    positive trace.
     """
     dim = cones[0].dim
     offsets = []
@@ -210,10 +244,6 @@ def _intersection_problem(
     for cone in cones:
         offsets.append(n)
         n += len(cone.generators)
-    n_point = n
-    t_index = n if strict else -1
-    if strict:
-        n += 1
     vec_len = dim * dim
     rows: list[list[Fraction]] = []
     rhs: list[Fraction] = []
@@ -232,33 +262,7 @@ def _intersection_problem(
         row[offsets[0] + gi] = g.trace()
     rows.append(row)
     rhs.append(Fraction(1))
-    objective = None
-    if strict:
-        # coefficient_i - t - s_i = 0 with fresh slacks s_i, t <= 1; max t.
-        slack_base = n
-        n += n_point + 1
-        rows = [r + [Fraction(0)] * (n_point + 1) for r in rows]
-        for i in range(n_point):
-            row = [Fraction(0)] * n
-            row[i] = Fraction(1)
-            row[t_index] = Fraction(-1)
-            row[slack_base + i] = Fraction(-1)
-            rows.append(row)
-            rhs.append(Fraction(0))
-        row = [Fraction(0)] * n
-        row[t_index] = Fraction(1)
-        row[slack_base + n_point] = Fraction(1)
-        rows.append(row)
-        rhs.append(Fraction(1))
-        objective = [Fraction(0)] * n
-        objective[t_index] = Fraction(1)
-    problem = LPProblem(
-        tuple(tuple(r) for r in rows),
-        tuple(rhs),
-        n,
-        tuple(objective) if objective is not None else None,
-    )
-    return problem, offsets
+    return LPProblem(tuple(tuple(r) for r in rows), tuple(rhs), n), offsets
 
 
 def cones_intersect(
@@ -277,15 +281,13 @@ def cones_intersect(
     for cone in cones:
         if cone.dim != dim:
             raise ValueError("cones must share an ambient dimension")
-    problem, offsets = _intersection_problem(cones, strict)
+    problem, offsets = _intersection_problem(cones)
     if strict:
-        status, point, value = lp_maximize(problem)
-        if status == "infeasible" or point is None or value is None or value <= 0:
-            return None
+        point = strict_positive_solution(problem.rows, problem.rhs, problem.n_vars)
     else:
-        feasible, point = lp_feasible(problem)
-        if not feasible or point is None:
-            return None
+        _, point = lp_feasible(problem)
+    if point is None:
+        return None
     coefficient_lists = []
     for ci, cone in enumerate(cones):
         base = offsets[ci]

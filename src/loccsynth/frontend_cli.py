@@ -17,14 +17,17 @@ Every matrix entry is a pair [re, im] of fraction strings such as "1/2" or
 "-1/3".  A run writes a machine-readable report whose field order is fixed;
 the only varying fields live under "timing".
 
-Exit codes: 0 protocol found, 1 input error, 2 no LOCC protocol (either
-certificate), 3 inconclusive because a search cap truncated enumeration.
+Exit codes: 0 protocol found, 1 input error (bad file, bad measurement or
+bad flag), 2 no LOCC protocol (either certificate), 3 inconclusive because a
+search cap truncated enumeration, 4 protocol found but the floating-point
+instrument check failed (the report is still written).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 from fractions import Fraction
@@ -87,7 +90,7 @@ def measurement_from_dict(doc) -> SeparableMeasurement:
         if field not in doc:
             raise MeasurementFileError(f"missing field {field!r}")
     dA, dB = doc["dA"], doc["dB"]
-    if not isinstance(dA, int) or not isinstance(dB, int) or dA < 1 or dB < 1:
+    if any(isinstance(d, bool) or not isinstance(d, int) or d < 1 for d in (dA, dB)):
         raise MeasurementFileError("dA and dB must be positive integers")
     outcomes = []
     for idx, rec in enumerate(doc["outcomes"], start=1):
@@ -102,16 +105,23 @@ def measurement_from_dict(doc) -> SeparableMeasurement:
         raise MeasurementFileError(str(exc)) from None
 
 
-def parse_measurement(path) -> SeparableMeasurement:
+def read_measurement(path) -> SeparableMeasurement:
     """Exact parse of a measurement file; no floating point anywhere.
 
-    Beyond per-entry syntax and the operator-level checks, the outcome list
-    must admit strictly positive weights completing it to the identity."""
+    Checks per-entry syntax and the operator-level conditions (Hermitian,
+    PSD, outcomes pairwise distinct up to positive scaling), but not that
+    positive weights complete the outcomes to the identity."""
     try:
         doc = json.loads(Path(path).read_text())
     except json.JSONDecodeError as exc:
         raise MeasurementFileError(f"invalid JSON: {exc}") from None
-    m = measurement_from_dict(doc)
+    return measurement_from_dict(doc)
+
+
+def parse_measurement(path) -> SeparableMeasurement:
+    """read_measurement, plus the completeness condition: the outcome list
+    must admit strictly positive weights completing it to the identity."""
+    m = read_measurement(path)
     try:
         validate_measurement(m)
     except MeasurementError as exc:
@@ -219,22 +229,30 @@ def run(
     rank_tol: float = 1e-10,
     out=None,
 ) -> int:
-    """Parse, synthesize, realize, verify; write artifacts; return exit code."""
+    """Parse, synthesize, realize, verify; write artifacts; return exit code.
+
+    The measurement's completeness weight LP runs once, inside synthesize."""
     if out is None:
         out = sys.stdout
     started = time.monotonic()
     try:
-        m = parse_measurement(path)
-    except (MeasurementFileError, OSError) as exc:
+        cfg = SearchConfig(
+            max_rounds=max_rounds,
+            family_size_cap=family_cap,
+            max_trees=max_trees,
+            exhaustive=exhaustive,
+        )
+        if not 0 <= rank_tol < math.inf:
+            raise ValueError(f"rank_tol must be finite and nonnegative, got {rank_tol}")
+        m = read_measurement(path)
+    except (ValueError, OSError) as exc:
         print(f"input error: {exc}", file=out)
         return 1
-    cfg = SearchConfig(
-        max_rounds=max_rounds,
-        family_size_cap=family_cap,
-        max_trees=max_trees,
-        exhaustive=exhaustive,
-    )
-    result = synthesize(m, cfg)
+    try:
+        result = synthesize(m, cfg)
+    except MeasurementError as exc:
+        print(f"input error: {exc}", file=out)
+        return 1
     report: dict = {
         "input": str(path),
         "dA": m.dA,
@@ -261,7 +279,7 @@ def run(
             "completion_residual": instrument.completion_residual,
             "ok": instrument.ok,
         }
-        exit_code = 0
+        exit_code = 0 if instrument.ok else 4
         print(
             f"protocol found: {len(result.weights)} leaves, "
             f"{result.stats.rounds_completed} rounds, "

@@ -226,20 +226,6 @@ def verify_instrument(
         "A": np.eye(m.dA, dtype=complex),
         "B": np.eye(m.dB, dtype=complex),
     }
-    root = kp.root
-    if root.children and root.children[0].leaf is not None and len(root.children) == 1:
-        # Two-node tree: the single leaf is the second root; nothing local.
-        leaf = root.children[0]
-        pos_a = np.eye(m.dA, dtype=complex)
-        pos_b = np.eye(m.dB, dtype=complex)
-        joint = np.kron(pos_a, pos_b)
-        r = protocol.weights[leaf.leaf]
-        expected = float(r) * np.kron(
-            to_float(m.op("A", leaf.leaf.j)), to_float(m.op("B", leaf.leaf.j))
-        )
-        leaf_res = max(leaf_res, norm(joint - expected))
-        total += joint
-    else:
-        walk(root, dict(ident), dict(ident))
+    walk(kp.root, dict(ident), dict(ident))
     completeness = norm(total - np.eye(m.dA * m.dB, dtype=complex))
     return InstrumentReport(closure, leaf_res, completeness, completion_res, tol)

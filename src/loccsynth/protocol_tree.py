@@ -130,22 +130,6 @@ def covered_outcomes(tree: Tree) -> frozenset[int]:
     return frozenset(r.j for r in leaf_refs(tree))
 
 
-def all_refs(tree: Tree) -> frozenset[LeafRef]:
-    """Every reference appearing in labels or ledger (may exceed the leaves
-    after a congruent-subtree collapse)."""
-    refs: set[LeafRef] = set()
-
-    def walk(node: TreeNode) -> None:
-        refs.update(node.terms)
-        for c in node.children:
-            walk(c)
-
-    walk(tree.root)
-    for c in tree.ledger:
-        refs.update(c.refs())
-    return frozenset(refs)
-
-
 def equivalence_signature(tree: Tree):
     """Dedup key: left-most label's outcome set plus the k-free tree form."""
     jset = tuple(sorted({r.j for r in tree.root.terms}))

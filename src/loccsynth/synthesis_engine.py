@@ -24,9 +24,9 @@ from .cone_geometry import (
     LPProblem,
     lp_call_count,
     lp_feasible,
-    lp_maximize,
     mutually_intersecting_families,
     proportional,
+    strict_positive_solution,
 )
 from .exact_algebra import (
     HermitianOp,
@@ -118,8 +118,9 @@ class SearchConfig:
     full_family_merges_only: bool = False
 
     def __post_init__(self) -> None:
-        if self.max_rounds < 1:
-            raise ValueError("max_rounds must be at least 1")
+        for name in ("max_rounds", "family_size_cap", "max_trees"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be at least 1")
 
 
 @dataclass(frozen=True)
@@ -178,51 +179,12 @@ def validate_measurement(m: SeparableMeasurement) -> list[Fraction]:
     for comp in range(len(target)):
         rows.append(tuple(v[comp] for v in vecs))
         rhs.append(target[comp])
-    point = _strict_positive_solution(rows, rhs, n)
+    point = strict_positive_solution(rows, rhs, n)
     if point is None:
         raise NotASeparableMeasurement(
             "no strictly positive weights complete the outcomes to the identity"
         )
     return point
-
-
-def _strict_positive_solution(rows, rhs, n: int) -> Optional[list[Fraction]]:
-    """Maximize t s.t. rows.x = rhs, x_i >= t, t <= 1; x at the optimum if
-    t* > 0, else None."""
-    width = n + 1 + n + 1  # x, t, per-x slack, slack for t <= 1
-    t_col = n
-    full_rows = []
-    full_rhs = []
-    for row, b in zip(rows, rhs):
-        full_rows.append(tuple(row) + (Fraction(0),) * (width - n))
-        full_rhs.append(b)
-    for i in range(n):
-        row = [Fraction(0)] * width
-        row[i] = Fraction(1)
-        row[t_col] = Fraction(-1)
-        row[n + 1 + i] = Fraction(-1)
-        full_rows.append(tuple(row))
-        full_rhs.append(Fraction(0))
-    row = [Fraction(0)] * width
-    row[t_col] = Fraction(1)
-    row[width - 1] = Fraction(1)
-    full_rows.append(tuple(row))
-    full_rhs.append(Fraction(1))
-    objective = [Fraction(0)] * width
-    objective[t_col] = Fraction(1)
-    status, point, value = lp_maximize(
-        LPProblem(tuple(full_rows), tuple(full_rhs), width, tuple(objective))
-    )
-    if status != "optimal" or point is None or value is None or value <= 0:
-        return None
-    return point[:n]
-
-
-def _plain_solution(rows, rhs, n: int) -> Optional[list[Fraction]]:
-    feasible, point = lp_feasible(
-        LPProblem(tuple(tuple(r) for r in rows), tuple(rhs), n)
-    )
-    return point if feasible else None
 
 
 def _side_system(tree: Tree, m: SeparableMeasurement, side: str):
@@ -331,29 +293,26 @@ def _solve_tree(
     its zero-weight leaves leaves a verifiable protocol (full coverage and
     the exact completeness sum, re-checked by the standard verifier).
     """
-    solutions: dict[str, dict[LeafRef, Fraction]] = {}
-    strict_ok = True
-    systems: dict[str, tuple] = {}
-    for side in ("A", "B"):
-        rows, rhs, refs = _side_system(tree, m, side)
-        systems[side] = (rows, rhs, refs)
-        point = _strict_positive_solution(rows, rhs, len(refs))
+    systems = [_side_system(tree, m, side) for side in ("A", "B")]
+    solutions = []
+    for rows, rhs, refs in systems:
+        point = strict_positive_solution(rows, rhs, len(refs))
         if point is None:
-            strict_ok = False
             break
-        solutions[side] = dict(zip(refs, point))
-    if strict_ok:
-        q, p = _complete_maps(tree, solutions["A"], solutions["B"])
+        solutions.append(dict(zip(refs, point)))
+    else:
+        q, p = _complete_maps(tree, *solutions)
         return tree, q, p
 
-    solutions = {}
-    for side in ("A", "B"):
-        rows, rhs, refs = systems.get(side) or _side_system(tree, m, side)
-        point = _plain_solution(rows, rhs, len(refs))
-        if point is None:
+    solutions = []
+    for rows, rhs, refs in systems:
+        feasible, point = lp_feasible(
+            LPProblem(tuple(tuple(r) for r in rows), tuple(rhs), len(refs))
+        )
+        if not feasible:
             return None
-        solutions[side] = dict(zip(refs, point))
-    q, p = _complete_maps(tree, solutions["A"], solutions["B"])
+        solutions.append(dict(zip(refs, point)))
+    q, p = _complete_maps(tree, *solutions)
     if all(q[r] > 0 and p[r] > 0 for r in leaf_refs(tree)):
         return tree, q, p
     pruned = _prune_zero_leaves(tree, q, p)

@@ -128,7 +128,7 @@ def _leaf_js(tree: Tree):
 
 def ledger_solution(tree: Tree, m: SeparableMeasurement):
     """Strictly positive per-side coefficients satisfying the ledger, or None."""
-    from loccsynth.synthesis_engine import _strict_positive_solution
+    from loccsynth.cone_geometry import strict_positive_solution
 
     solution = {"A": {}, "B": {}}
     for side in ("A", "B"):
@@ -149,7 +149,7 @@ def ledger_solution(tree: Tree, m: SeparableMeasurement):
                     row[index[r]] -= vectorize(m.op(side, r.j))[comp]
                 rows.append(row)
                 rhs.append(Fraction(0))
-        point = _strict_positive_solution(rows, rhs, len(refs))
+        point = strict_positive_solution(rows, rhs, len(refs))
         if point is None:
             return None
         solution[side] = dict(zip(refs, point))

@@ -5,7 +5,8 @@ from pathlib import Path
 
 import pytest
 
-from loccsynth.fixtures import bennett9, product_basis
+from loccsynth import frontend_cli, synthesis_engine
+from loccsynth.fixtures import BUILTIN, bennett9, product_basis
 from loccsynth.frontend_cli import (
     MeasurementFileError,
     main,
@@ -16,6 +17,7 @@ from loccsynth.frontend_cli import (
     tree_to_dot,
     write_measurement,
 )
+from loccsynth.kraus_realization import InstrumentReport
 from loccsynth.synthesis_engine import LOCCProtocol, SearchConfig, synthesize
 
 DATA = Path(__file__).resolve().parent.parent / "src" / "loccsynth" / "data"
@@ -95,6 +97,22 @@ def test_parse_rejects_incomplete_family(tmp_path):
         parse_measurement(path)
 
 
+def test_parse_rejects_boolean_dimensions(tmp_path):
+    doc = tiny_doc()
+    doc["dA"] = True
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(MeasurementFileError, match="dA and dB must be positive integers"):
+        parse_measurement(path)
+
+
+@pytest.mark.parametrize("name", sorted(BUILTIN))
+def test_bundled_files_match_fixtures(name):
+    assert {p.stem for p in DATA.glob("*.json")} == set(BUILTIN)
+    doc = json.loads((DATA / f"{name}.json").read_text())
+    assert doc == measurement_to_dict(BUILTIN[name]())
+
+
 def test_round_trip_is_identity(tmp_path):
     m = bennett9()
     path = tmp_path / "b9.json"
@@ -142,6 +160,64 @@ def test_reports_are_stable_apart_from_timing(tmp_path, capsys):
         reps.append(json.dumps(doc, sort_keys=False))
     assert reps[0] == reps[1]
     capsys.readouterr()
+
+
+def test_run_validates_the_measurement_once(monkeypatch, capsys):
+    calls = []
+    original = synthesis_engine.validate_measurement
+
+    def counting(m):
+        calls.append(m)
+        return original(m)
+
+    monkeypatch.setattr(synthesis_engine, "validate_measurement", counting)
+    monkeypatch.setattr(frontend_cli, "validate_measurement", counting)
+    assert run(DATA / "product_basis_2x2.json", max_rounds=4) == 0
+    assert len(calls) == 1
+    capsys.readouterr()
+
+
+def test_run_rejects_incomplete_family(tmp_path, capsys):
+    doc = tiny_doc()
+    doc["outcomes"] = doc["outcomes"][:2]
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    rep = tmp_path / "report.json"
+    assert run(path, report_path=rep) == 1
+    out = capsys.readouterr().out
+    assert out.startswith("input error: ")
+    assert "strictly positive weights" in out
+    assert not rep.exists()
+
+
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["-L", "0"], "max_rounds must be at least 1"),
+        (["--family-cap", "0"], "family_size_cap must be at least 1"),
+        (["--max-trees", "0"], "max_trees must be at least 1"),
+        (["--rank-tol", "nan"], "rank_tol must be finite and nonnegative"),
+        (["--rank-tol", "-1"], "rank_tol must be finite and nonnegative"),
+    ],
+)
+def test_bad_flags_are_input_errors(flags, message, tmp_path, capsys):
+    rep = tmp_path / "report.json"
+    code = main([str(DATA / "product_basis_2x2.json"), "--report", str(rep), *flags])
+    assert code == 1
+    out = capsys.readouterr().out
+    assert out.startswith("input error: ") and message in out
+    assert not rep.exists()
+
+
+def test_failed_instrument_check_exits_4(monkeypatch, tmp_path, capsys):
+    def failing(kp, m):
+        return InstrumentReport(1.0, 0.0, 0.0, 0.0, 1e-9)
+
+    monkeypatch.setattr(frontend_cli, "verify_instrument", failing)
+    rep = tmp_path / "report.json"
+    assert run(DATA / "product_basis_2x2.json", max_rounds=4, report_path=rep) == 4
+    assert json.loads(rep.read_text())["instrument"]["ok"] is False
+    assert "instrument ok=False" in capsys.readouterr().out
 
 
 def test_inconclusive_exit_code(tmp_path, capsys):

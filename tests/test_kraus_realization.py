@@ -125,11 +125,17 @@ def test_realize_product_basis_rounds_are_projective():
 
 
 def test_realize_single_outcome_is_trivial():
-    m = single_identity()
-    kp = realize(_protocol(m))
-    assert kp.root.children[0].leaf is not None
-    report = verify_instrument(kp, m)
-    assert report.ok
+    for m in (single_identity(), single_identity(3, 2)):
+        kp = realize(_protocol(m))
+        assert kp.root.children[0].leaf is not None
+        report = verify_instrument(kp, m)
+        assert report.ok
+        assert (
+            report.closure_residual,
+            report.leaf_residual,
+            report.completeness_residual,
+            report.completion_residual,
+        ) == (0.0, 0.0, 0.0, 0.0)
 
 
 def test_instruments_verify_for_all_protocol_fixtures():
