@@ -48,7 +48,7 @@ from .synthesis_engine import (
     NotASeparableMeasurement,
     SearchConfig,
     SeparableMeasurement,
-    check_tree_feasibility,
+    solve_tree,
     synthesize,
     validate_measurement,
     verify_protocol_exact,

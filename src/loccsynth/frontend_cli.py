@@ -86,12 +86,16 @@ def _parse_matrix(data, dim: int, where: str) -> HermitianOp:
 
 
 def measurement_from_dict(doc) -> SeparableMeasurement:
+    if not isinstance(doc, dict):
+        raise MeasurementFileError("the top level must be a JSON object")
     for field in ("dA", "dB", "outcomes"):
         if field not in doc:
             raise MeasurementFileError(f"missing field {field!r}")
     dA, dB = doc["dA"], doc["dB"]
     if any(isinstance(d, bool) or not isinstance(d, int) or d < 1 for d in (dA, dB)):
         raise MeasurementFileError("dA and dB must be positive integers")
+    if not isinstance(doc["outcomes"], list):
+        raise MeasurementFileError("'outcomes' must be a list")
     outcomes = []
     for idx, rec in enumerate(doc["outcomes"], start=1):
         if not isinstance(rec, dict) or "A" not in rec or "B" not in rec:

@@ -330,19 +330,16 @@ def collapse_congruent(tree: Tree) -> Tree:
     )
 
 
-def branch_term_sets(node: TreeNode) -> list[frozenset[LeafRef]]:
-    """Per child branch: the term set whose sum must reproduce the node.
+def branch_terms(child: TreeNode) -> frozenset[LeafRef]:
+    """The term set whose sum, read on the parent's side, a child branch
+    contributes to its parent's sum rule.
 
     A leaf child contributes its payload reference, not its label: the leaf
     label carries the leaf's own side while the branch is read on the
     parent's side, and the two diverge once congruent copies are folded."""
-    out = []
-    for c in node.children:
-        if c.leaf is not None:
-            out.append(frozenset({c.leaf}))
-        else:
-            out.append(_extension_label(c))
-    return out
+    if child.leaf is not None:
+        return frozenset({child.leaf})
+    return _extension_label(child)
 
 
 def sum_rule_consistent(tree: Tree) -> bool:
@@ -353,7 +350,7 @@ def sum_rule_consistent(tree: Tree) -> bool:
     def walk(node: TreeNode) -> bool:
         if node.leaf is not None:
             return True
-        if node.terms not in branch_term_sets(node):
+        if not any(node.terms == branch_terms(c) for c in node.children):
             return False
         return all(walk(c) for c in node.children)
 

@@ -41,6 +41,7 @@ from .protocol_tree import (
     Tree,
     TreeNode,
     _sorted_children,
+    branch_terms,
     congruent,
     covered_outcomes,
     equivalence_signature,
@@ -114,8 +115,6 @@ class SearchConfig:
     family_size_cap: int = 12
     max_trees: int = 5000
     exhaustive: bool = False
-    # Test hook: only merge a family whole, never a proper subset of it.
-    full_family_merges_only: bool = False
 
     def __post_init__(self) -> None:
         for name in ("max_rounds", "family_size_cap", "max_trees"):
@@ -253,12 +252,7 @@ def _prune_zero_leaves(
         if node.leaf is not None:
             return node
         kids = _sorted_children([relabel(c) for c in node.children])
-        first = kids[0]
-        if first.leaf is not None:
-            terms = frozenset({first.leaf})
-        else:
-            terms = frozenset().union(*[c.terms for c in first.children])
-        return TreeNode(node.side, terms, kids, None)
+        return TreeNode(node.side, branch_terms(kids[0]), kids, None)
 
     root = walk(tree.root)
     if root is None or root.leaf is not None or len(root.children) != 1:
@@ -282,16 +276,22 @@ def _prune_zero_leaves(
     )
 
 
-def _solve_tree(
-    tree: Tree, m: SeparableMeasurement
-) -> Optional[tuple[Tree, dict[LeafRef, Fraction], dict[LeafRef, Fraction]]]:
-    """Exact coefficient solve for a complete tree.
+def _verified_protocol(tree: Tree, m: SeparableMeasurement, q, p) -> LOCCProtocol:
+    weights = {r: q[r] * p[r] for r in leaf_refs(tree)}
+    protocol = LOCCProtocol(tree, q, p, weights, m)
+    verify_protocol_exact(protocol)
+    return protocol
+
+
+def solve_tree(tree: Tree, m: SeparableMeasurement) -> Optional[LOCCProtocol]:
+    """Exact coefficient solve for a complete tree, as a verified protocol.
 
     The A and B systems are independent: ledger constraints are one-sided
     and the two root conditions split by party.  Strict positivity is tried
-    first; failing that, a plain nonnegative solution is accepted if pruning
-    its zero-weight leaves leaves a verifiable protocol (full coverage and
-    the exact completeness sum, re-checked by the standard verifier).
+    first; its solution satisfies every checked equation by construction, so
+    a failed check raises ProtocolVerificationError.  Failing that, a plain
+    nonnegative solution is accepted if pruning its zero-weight leaves
+    leaves a protocol with full coverage that passes verify_protocol_exact.
     """
     systems = [_side_system(tree, m, side) for side in ("A", "B")]
     solutions = []
@@ -301,8 +301,7 @@ def _solve_tree(
             break
         solutions.append(dict(zip(refs, point)))
     else:
-        q, p = _complete_maps(tree, *solutions)
-        return tree, q, p
+        return _verified_protocol(tree, m, *_complete_maps(tree, *solutions))
 
     solutions = []
     for rows, rhs, refs in systems:
@@ -314,20 +313,16 @@ def _solve_tree(
         solutions.append(dict(zip(refs, point)))
     q, p = _complete_maps(tree, *solutions)
     if all(q[r] > 0 and p[r] > 0 for r in leaf_refs(tree)):
-        return tree, q, p
+        return _verified_protocol(tree, m, q, p)
     pruned = _prune_zero_leaves(tree, q, p)
     if pruned is None:
         return None
     if {r.j for r in leaf_refs(pruned)} != set(range(1, m.n_outcomes + 1)):
         return None
-    q2, p2 = _complete_maps(pruned, q, p)
-    weights = {r: q2[r] * p2[r] for r in leaf_refs(pruned)}
-    candidate = LOCCProtocol(pruned, q2, p2, weights, m, None)
     try:
-        verify_protocol_exact(candidate)
+        return _verified_protocol(pruned, m, *_complete_maps(pruned, q, p))
     except ProtocolVerificationError:
         return None
-    return pruned, q2, p2
 
 
 def _side_refs(tree: Tree, side: str) -> set[LeafRef]:
@@ -358,17 +353,6 @@ def _complete_maps(tree, a_map, b_map):
     return q, p
 
 
-def check_tree_feasibility(
-    tree: Tree, m: SeparableMeasurement
-) -> Optional[tuple[dict[LeafRef, Fraction], dict[LeafRef, Fraction]]]:
-    """Public wrapper: the solved (q, p) maps for a complete tree, if any."""
-    solved = _solve_tree(tree, m)
-    if solved is None:
-        return None
-    _, q, p = solved
-    return q, p
-
-
 def _side_value(
     m: SeparableMeasurement,
     side: str,
@@ -396,21 +380,12 @@ def verify_protocol_exact(protocol: LOCCProtocol) -> None:
         if protocol.q[r] <= 0 or protocol.p[r] <= 0:
             raise ProtocolVerificationError(f"leaf {r} has a nonpositive weight")
 
-    def branch_value(node: TreeNode, child: TreeNode) -> HermitianOp:
-        if child.leaf is not None:
-            terms = frozenset({child.leaf})
-        else:
-            terms = set()
-            for z in child.children:
-                terms |= z.terms
-        return _side_value(m, node.side, terms, coeffs[node.side])
-
     def walk(node: TreeNode) -> None:
         if node.leaf is not None:
             return
         target = _side_value(m, node.side, node.terms, coeffs[node.side])
         for child in node.children:
-            if branch_value(node, child) != target:
+            if _side_value(m, node.side, branch_terms(child), coeffs[node.side]) != target:
                 raise ProtocolVerificationError(
                     f"branch sum mismatch at a {node.side} node"
                 )
@@ -459,6 +434,18 @@ def _proportionality_families(
     return [frozenset(cls) for cls in classes if len(cls) >= 2]
 
 
+def _candidate_merges(families, groups, cap):
+    """Every merge a round may try, as (family, trees): per family, the
+    subsets of at least two of its trees, smallest first, drawn from its
+    first `cap` trees in uid order."""
+    for fam in families:
+        members = sorted((t for key in fam for t in groups[key]), key=lambda t: t.uid)
+        members = members[:cap]
+        for size in range(2, len(members) + 1):
+            for combo in itertools.combinations(members, size):
+                yield fam, combo
+
+
 def synthesize(m: SeparableMeasurement, cfg: SearchConfig) -> SynthesisOutcome:
     """Build an LOCC protocol within cfg.max_rounds rounds or certify failure.
 
@@ -482,13 +469,6 @@ def synthesize(m: SeparableMeasurement, cfg: SearchConfig) -> SynthesisOutcome:
     last_progress = 0
     empty_streak = 0
 
-    def finish_protocol(solved, stats):
-        tree, q, p = solved
-        weights = {r: q[r] * p[r] for r in leaf_refs(tree)}
-        protocol = LOCCProtocol(tree, q, p, weights, m, stats)
-        verify_protocol_exact(protocol)
-        return protocol
-
     def stats_now(rounds_completed: int) -> SearchStats:
         return SearchStats(
             rounds=tuple(rounds),
@@ -502,9 +482,9 @@ def synthesize(m: SeparableMeasurement, cfg: SearchConfig) -> SynthesisOutcome:
         )
 
     if m.n_outcomes == 1:
-        solved = _solve_tree(frontier[0], m)
-        if solved is not None:
-            return finish_protocol(solved, stats_now(0))
+        protocol = solve_tree(frontier[0], m)
+        if protocol is not None:
+            return replace(protocol, stats=stats_now(0))
 
     for round_index in range(1, cfg.max_rounds + 1):
         side = frontier[0].root.side
@@ -539,64 +519,49 @@ def synthesize(m: SeparableMeasurement, cfg: SearchConfig) -> SynthesisOutcome:
             if not any(f <= prev for prev in seen_families[side])
         ]
 
+        if any(
+            sum(len(groups[key]) for key in fam) > cfg.family_size_cap
+            for fam in new_families
+        ):
+            capped = True
+
         created: list[Tree] = []
         merged_subsets: list[tuple[int, ...]] = []
         tried: set[frozenset[int]] = set()
-        for fam in new_families:
-            members = sorted(
-                (t for key in sorted(fam, key=lambda k: tuple(sorted(k))) for t in groups[key]),
-                key=lambda t: t.uid,
-            )
-            if len(members) > cfg.family_size_cap:
+        for _, combo in _candidate_merges(new_families, groups, cfg.family_size_cap):
+            uids = frozenset(t.uid for t in combo)
+            if uids in tried:
+                continue
+            tried.add(uids)
+            keyset = frozenset(_root_key(t) for t in combo)
+            if any(keyset <= prev for prev in seen_families[side]):
+                continue
+            if any(congruent(a.root, b.root) for a, b in itertools.combinations(combo, 2)):
+                congruence_skips += 1
+                continue
+            merged = merge_and_extend(combo)
+            if has_congruent_siblings(merged):
+                congruence_skips += 1
+                continue
+            sig = equivalence_signature(merged)
+            if sig in seen_sigs:
+                dedup_hits += 1
+                continue
+            seen_sigs.add(sig)
+            merged = replace(merged, uid=next_uid)
+            next_uid += 1
+            trees_total += 1
+            created.append(merged)
+            merged_subsets.append(tuple(sorted(t.uid for t in combo)))
+            if trees_total > cfg.max_trees:
                 capped = True
-                members = members[: cfg.family_size_cap]
-            stop = False
-            for size in range(2, len(members) + 1):
-                for combo in itertools.combinations(members, size):
-                    uids = frozenset(t.uid for t in combo)
-                    if uids in tried:
-                        continue
-                    tried.add(uids)
-                    keyset = frozenset(_root_key(t) for t in combo)
-                    if any(keyset <= prev for prev in seen_families[side]):
-                        continue
-                    if cfg.full_family_merges_only and keyset != fam:
-                        continue
-                    if any(
-                        congruent(a.root, b.root)
-                        for a, b in itertools.combinations(combo, 2)
-                    ):
-                        congruence_skips += 1
-                        continue
-                    merged = merge_and_extend(combo)
-                    if has_congruent_siblings(merged):
-                        congruence_skips += 1
-                        continue
-                    sig = equivalence_signature(merged)
-                    if sig in seen_sigs:
-                        dedup_hits += 1
-                        continue
-                    seen_sigs.add(sig)
-                    merged = replace(merged, uid=next_uid)
-                    next_uid += 1
-                    trees_total += 1
-                    created.append(merged)
-                    merged_subsets.append(tuple(sorted(t.uid for t in combo)))
-                    if trees_total > cfg.max_trees:
-                        capped = True
-                        stop = True
-                        break
-                if stop:
-                    break
-            if stop:
                 break
 
-        protocol_result = None
+        protocol = None
         for t in created:
             if covered_outcomes(t) == all_j:
-                solved = _solve_tree(t, m)
-                if solved is not None:
-                    protocol_result = solved
+                protocol = solve_tree(t, m)
+                if protocol is not None:
                     break
 
         seen_families[side].extend(new_families)
@@ -619,8 +584,8 @@ def synthesize(m: SeparableMeasurement, cfg: SearchConfig) -> SynthesisOutcome:
                 lp_calls=lp_call_count() - lp_round_base,
             )
         )
-        if protocol_result is not None:
-            return finish_protocol(protocol_result, stats_now(round_index))
+        if protocol is not None:
+            return replace(protocol, stats=stats_now(round_index))
         if empty_streak >= 2:
             verdict = INCONCLUSIVE_CAPPED if capped else NO_LOCC_ANY_ROUNDS
             return NoLoccCertificate(verdict, stats_now(round_index))

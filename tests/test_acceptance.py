@@ -19,6 +19,7 @@ from helpers import (
 )
 from oracle_cones import cones_intersect_oracle
 
+from loccsynth import synthesis_engine
 from loccsynth.cone_geometry import Cone, cones_intersect, proportional
 from loccsynth.exact_algebra import HermitianOp, char_poly, kron, op_linear_combine
 from loccsynth.fixtures import (
@@ -44,6 +45,7 @@ from loccsynth.synthesis_engine import (
     NoLoccCertificate,
     SearchConfig,
     SeparableMeasurement,
+    _root_key,
     _side_value,
     synthesize,
     verify_protocol_exact,
@@ -109,7 +111,7 @@ def test_criterion_2_projective_and_conditional_protocols():
     _passed("criterion 2: projective and conditional bases close to identity roots")
 
 
-def test_criterion_3_pairwise_merge_required():
+def test_criterion_3_pairwise_merge_required(monkeypatch):
     m = example4()
     out = _synth(m, 8)
     assert isinstance(out, LOCCProtocol)
@@ -139,8 +141,19 @@ def test_criterion_3_pairwise_merge_required():
     assert shape(out.tree.root) == expected
     assert sorted(r.j for r in leaf_refs(out.tree)) == [1, 2, 3, 4, 5]
 
-    restricted = _synth(m, 8, full_family_merges_only=True)
+    every_merge = synthesis_engine._candidate_merges
+
+    def whole_families_only(families, groups, cap):
+        for fam, combo in every_merge(families, groups, cap):
+            if frozenset(_root_key(t) for t in combo) == fam:
+                yield fam, combo
+
+    monkeypatch.setattr(synthesis_engine, "_candidate_merges", whole_families_only)
+    restricted = _synth(m, 8)
     assert isinstance(restricted, NoLoccCertificate)
+    assert restricted.verdict == NO_LOCC_ANY_ROUNDS
+    assert restricted.stats.rounds_completed == 3
+    assert [r.merged_subsets for r in restricted.stats.rounds] == [((1, 2, 3),), (), ()]
     _passed(
         "criterion 3: five-operator instance solved with the expected tree; "
         "whole-class-only merging fails as required"

@@ -177,16 +177,29 @@ def test_run_validates_the_measurement_once(monkeypatch, capsys):
     capsys.readouterr()
 
 
-def test_run_rejects_incomplete_family(tmp_path, capsys):
+def _incomplete_doc():
     doc = tiny_doc()
     doc["outcomes"] = doc["outcomes"][:2]
+    return doc
+
+
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        (_incomplete_doc(), "strictly positive weights"),
+        (7, "the top level must be a JSON object"),
+        ({**tiny_doc(), "outcomes": 5}, "'outcomes' must be a list"),
+    ],
+    ids=["incomplete", "top_level_not_object", "outcomes_not_list"],
+)
+def test_run_rejects_incomplete_family(doc, message, tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(doc))
     rep = tmp_path / "report.json"
     assert run(path, report_path=rep) == 1
     out = capsys.readouterr().out
     assert out.startswith("input error: ")
-    assert "strictly positive weights" in out
+    assert message in out
     assert not rep.exists()
 
 

@@ -7,6 +7,7 @@ import pytest
 
 from helpers import permute_outcomes, proj, random_rescale
 
+from loccsynth import synthesis_engine
 from loccsynth.exact_algebra import HermitianOp
 from loccsynth.fixtures import (
     bennett9,
@@ -25,9 +26,10 @@ from loccsynth.synthesis_engine import (
     MeasurementError,
     NoLoccCertificate,
     NotASeparableMeasurement,
+    ProtocolVerificationError,
     SearchConfig,
     SeparableMeasurement,
-    check_tree_feasibility,
+    solve_tree,
     synthesize,
     validate_measurement,
     verify_protocol_exact,
@@ -84,18 +86,17 @@ def test_validate_rejects_incomplete_family():
         validate_measurement(m)
 
 
-# --- check_tree_feasibility ----------------------------------------------------
+# --- solve_tree ------------------------------------------------------------------
 
 
 def test_feasibility_solves_completed_search_tree():
     m = product_basis(2, 2)
     protocol = synthesize(m, SearchConfig(max_rounds=4))
     assert isinstance(protocol, LOCCProtocol)
-    solved = check_tree_feasibility(protocol.tree, m)
+    solved = solve_tree(protocol.tree, m)
     assert solved is not None
-    q, p = solved
-    assert all(v > 0 for v in q.values())
-    assert all(v > 0 for v in p.values())
+    assert all(v > 0 for v in solved.q.values())
+    assert all(v > 0 for v in solved.p.values())
 
 
 def test_feasibility_rejects_root_that_cannot_reach_identity():
@@ -105,7 +106,33 @@ def test_feasibility_rejects_root_that_cannot_reach_identity():
     )
     trees = seed_trees(m)
     complete = merge_and_extend(trees)
-    assert check_tree_feasibility(complete, m) is None
+    assert solve_tree(complete, m) is None
+
+
+def test_example4_protocol_is_verified_once(monkeypatch):
+    # example4 closes through zero-leaf pruning.
+    verify = synthesis_engine.verify_protocol_exact
+    calls = []
+
+    def counting(protocol):
+        calls.append(protocol)
+        verify(protocol)
+
+    monkeypatch.setattr(synthesis_engine, "verify_protocol_exact", counting)
+    out = synthesize(example4(), SearchConfig(max_rounds=8))
+    assert isinstance(out, LOCCProtocol)
+    assert len(calls) == 1
+
+
+def test_strict_solution_failing_verification_raises(monkeypatch):
+    # A strict-positivity solution satisfies every checked equation by
+    # construction, so a failed check is an engine fault, not a verdict.
+    def reject(protocol):
+        raise ProtocolVerificationError("rejected")
+
+    monkeypatch.setattr(synthesis_engine, "verify_protocol_exact", reject)
+    with pytest.raises(ProtocolVerificationError):
+        synthesize(product_basis(2, 2), SearchConfig(max_rounds=4))
 
 
 # --- synthesize ------------------------------------------------------------------
