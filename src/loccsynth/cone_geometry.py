@@ -6,7 +6,8 @@ run entirely over Fractions.  Beside it sits the one strict-positivity LP
 validation and tree solving share.  On top sit the cone queries the
 synthesis engine consumes: pairwise/mutual nonzero intersection of cones of
 positive operators, proportionality, and enumeration of maximal mutually
-intersecting families.
+intersecting families.  A query made only of rays (one-generator cones) is
+decided by `proportional` and solves no LP.
 """
 
 from __future__ import annotations
@@ -273,7 +274,8 @@ def cones_intersect(
     With strict=True the witness must additionally use every generator of
     every cone with a strictly positive coefficient; this is the
     admissibility test the synthesis engine applies before merging, since a
-    protocol's leaf weights are strictly positive.
+    protocol's leaf weights are strictly positive.  Rays need no LP: both
+    questions reduce to positive proportionality with the first ray.
     """
     if len(cones) < 2:
         raise ValueError("need at least two cones")
@@ -281,6 +283,14 @@ def cones_intersect(
     for cone in cones:
         if cone.dim != dim:
             raise ValueError("cones must share an ambient dimension")
+    if all(len(cone.generators) == 1 for cone in cones):
+        rays = [cone.generators[0] for cone in cones]
+        if any(proportional(g, rays[0]) is None for g in rays[1:]):
+            return None
+        # The LP's trace-one common point, g_1 / tr g_1, is unique here.
+        coefficients = tuple((1 / g.trace(),) for g in rays)
+        common = op_linear_combine([(coefficients[0][0], rays[0])], dim=dim)
+        return IntersectionWitness(coefficients, common)
     problem, offsets = _intersection_problem(cones)
     if strict:
         point = strict_positive_solution(problem.rows, problem.rhs, problem.n_vars)

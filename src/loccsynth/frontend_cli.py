@@ -14,8 +14,9 @@ Measurement file format (JSON, everything exact):
     }
 
 Every matrix entry is a pair [re, im] of fraction strings such as "1/2" or
-"-1/3".  A run writes a machine-readable report whose field order is fixed;
-the only varying fields live under "timing".
+"-1/3": an optional sign, digits, and optionally "/" and more digits.  A
+run writes a machine-readable report whose field order is fixed; the only
+varying fields live under "timing".
 
 Exit codes: 0 protocol found, 1 input error (bad file, bad measurement or
 bad flag), 2 no LOCC protocol (either certificate), 3 inconclusive because a
@@ -28,6 +29,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import re
 import sys
 import time
 from fractions import Fraction
@@ -52,10 +54,17 @@ class MeasurementFileError(ValueError):
     """Malformed measurement file; the message names the offending entry."""
 
 
+# The only entry form: an integer or a fraction of integers, such as "-1/3".
+# Exponents ("1e100000") would make Fraction build huge integers.
+_FRACTION = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
+
+
 def _parse_fraction(text, where: str) -> Fraction:
     if not isinstance(text, str):
         raise MeasurementFileError(f"{where}: expected a fraction string, got {text!r}")
     try:
+        if not _FRACTION.fullmatch(text):
+            raise ValueError("expected an integer or p/q")
         value = Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise MeasurementFileError(f"{where}: bad fraction {text!r} ({exc})") from None
@@ -117,7 +126,8 @@ def read_measurement(path) -> SeparableMeasurement:
     positive weights complete the outcomes to the identity."""
     try:
         doc = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
+        # RecursionError: arrays or objects nested too deeply to decode.
         raise MeasurementFileError(f"invalid JSON: {exc}") from None
     return measurement_from_dict(doc)
 

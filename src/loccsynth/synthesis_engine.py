@@ -14,6 +14,7 @@ available and the absence of a protocol holds for any number of rounds.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, replace
 from fractions import Fraction
@@ -417,23 +418,6 @@ def _root_key(tree: Tree) -> frozenset[int]:
     return frozenset(r.j for r in tree.root.terms)
 
 
-def _proportionality_families(
-    keys: list[frozenset[int]], gens: dict[frozenset[int], tuple[HermitianOp, ...]]
-) -> list[frozenset[frozenset[int]]]:
-    """Round-one families: partition single-generator labels by exact
-    proportionality (the cones are rays, so this is the cone criterion)."""
-    classes: list[list[frozenset[int]]] = []
-    for key in keys:
-        op = gens[key][0]
-        for cls in classes:
-            if proportional(op, gens[cls[0]][0]) is not None:
-                cls.append(key)
-                break
-        else:
-            classes.append([key])
-    return [frozenset(cls) for cls in classes if len(cls) >= 2]
-
-
 def _candidate_merges(families, groups, cap):
     """Every merge a round may try, as (family, trees): per family, the
     subsets of at least two of its trees, smallest first, drawn from its
@@ -462,6 +446,7 @@ def synthesize(m: SeparableMeasurement, cfg: SearchConfig) -> SynthesisOutcome:
     trees_total = m.n_outcomes
     seen_sigs = {equivalence_signature(t) for t in frontier}
     seen_families: dict[str, list[frozenset[frozenset[int]]]] = {"A": [], "B": []}
+    cone_of = functools.cache(Cone)  # one Cone per distinct generator tuple
     rounds: list[RoundStats] = []
     capped = False
     dedup_hits = 0
@@ -493,21 +478,17 @@ def synthesize(m: SeparableMeasurement, cfg: SearchConfig) -> SynthesisOutcome:
         for t in frontier:
             groups.setdefault(_root_key(t), []).append(t)
         keys = sorted(groups, key=lambda k: tuple(sorted(k)))
-        gens = {
-            key: tuple(m.op(side, j) for j in sorted(key)) for key in keys
-        }
-        if round_index == 1:
-            families = _proportionality_families(keys, gens)
-        else:
-            items = [(key, Cone(gens[key])) for key in keys]
-            families, complete = mutually_intersecting_families(
-                items,
-                strict=True,
-                size_cap=cfg.family_size_cap,
-                exhaustive=cfg.exhaustive,
-            )
-            if not complete:
-                capped = True
+        items = [
+            (key, cone_of(tuple(m.op(side, j) for j in sorted(key)))) for key in keys
+        ]
+        families, complete = mutually_intersecting_families(
+            items,
+            strict=True,
+            size_cap=cfg.family_size_cap,
+            exhaustive=cfg.exhaustive,
+        )
+        if not complete:
+            capped = True
         # A label used by several distinct trees is mergeable with itself.
         for key in keys:
             if len(groups[key]) >= 2 and not any(key in fam for fam in families):

@@ -13,6 +13,7 @@ from loccsynth.cone_geometry import (
     Cone,
     LPProblem,
     cones_intersect,
+    lp_call_count,
     lp_feasible,
     lp_maximize,
     mutually_intersecting_families,
@@ -150,6 +151,31 @@ def test_strict_demands_every_generator():
     ident_combo = Cone((ZERO, ONE))
     w = cones_intersect([ident_combo, Cone((PLUS, MINUS))], strict=True)
     assert w is not None
+
+
+# --- ray queries ------------------------------------------------------------
+
+
+@pytest.mark.parametrize("strict", [False, True], ids=["plain", "strict"])
+def test_ray_queries_solve_no_lp(strict):
+    # A query made only of rays is decided by proportionality, with the
+    # LP's unique trace-one witness and without running the simplex.
+    b = proj((3, 4))
+    pool = [ZERO, ONE, PLUS, MINUS, b, b.scale(7), PLUS.scale(Fraction(2, 3))]
+    queries = [((g, h), cones_intersect_oracle([g], [h])) for g in pool for h in pool]
+    queries += [
+        ((b, b.scale(3), b.scale(Fraction(1, 5))), True),
+        ((ZERO, ZERO.scale(2), ONE), False),
+    ]
+    before = lp_call_count()
+    for rays, hit in queries:
+        w = cones_intersect([Cone((g,)) for g in rays], strict=strict)
+        assert (w is not None) == hit
+        if w is not None:
+            assert w.coefficients == tuple((1 / g.trace(),) for g in rays)
+            assert w.common == rays[0].scale(1 / rays[0].trace())
+    assert lp_call_count() == before
+    assert sum(hit for _, hit in queries) > len(pool)  # more than self-pairs
 
 
 # --- proportional -----------------------------------------------------------

@@ -1,6 +1,9 @@
 """File formats, exit codes, reports, and DOT export."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -183,14 +186,22 @@ def _incomplete_doc():
     return doc
 
 
+def _exponent_doc():
+    # Fraction("1e100000") would take seconds and overflow float conversion.
+    doc = tiny_doc()
+    doc["outcomes"][0]["A"][0][0] = entry("1e100000")
+    return doc
+
+
 @pytest.mark.parametrize(
     "doc, message",
     [
         (_incomplete_doc(), "strictly positive weights"),
         (7, "the top level must be a JSON object"),
         ({**tiny_doc(), "outcomes": 5}, "'outcomes' must be a list"),
+        (_exponent_doc(), "bad fraction '1e100000'"),
     ],
-    ids=["incomplete", "top_level_not_object", "outcomes_not_list"],
+    ids=["incomplete", "top_level_not_object", "outcomes_not_list", "exponent_entry"],
 )
 def test_run_rejects_incomplete_family(doc, message, tmp_path, capsys):
     path = tmp_path / "bad.json"
@@ -201,6 +212,13 @@ def test_run_rejects_incomplete_family(doc, message, tmp_path, capsys):
     assert out.startswith("input error: ")
     assert message in out
     assert not rep.exists()
+
+
+def test_run_rejects_deeply_nested_json(tmp_path, capsys):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 200_000)
+    assert run(path) == 1
+    assert capsys.readouterr().out.startswith("input error: invalid JSON: ")
 
 
 @pytest.mark.parametrize(
@@ -245,6 +263,23 @@ def test_main_cli(tmp_path, capsys):
     assert "protocol found" in out
     assert main([str(DATA / "bennett9.json"), "-L", "10"]) == 2
     capsys.readouterr()
+
+
+def test_module_entry_point_runs_without_warnings():
+    root = DATA.parents[2]
+    path = os.pathsep.join(filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")]))
+    args = [str(DATA / "product_basis_2x2.json"), "-L", "4"]
+    proc = subprocess.run(
+        [sys.executable, "-W", "error", "-m", "loccsynth", *args],
+        cwd=root,
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0
+    assert proc.stderr == ""
+    assert proc.stdout.startswith("protocol found")
 
 
 def test_dot_labels_show_symbolic_sums():

@@ -205,6 +205,38 @@ def test_protocols_verify_exactly():
         assert sides == {"A", "B"}
 
 
+@pytest.mark.parametrize(
+    "fixture, lp_calls",
+    [
+        (bennett9, 57),
+        (lambda: product_basis(3, 3), 180),
+        (example4, 69),
+        (example5, 108),
+    ],
+    ids=["bennett9", "product_basis_3x3", "example4", "example5"],
+)
+def test_lp_calls_count_only_non_ray_queries(fixture, lp_calls):
+    # Round one's labels are all rays, so it solves no LP; later rounds
+    # solve one only for queries holding a multi-outcome label.
+    out = synthesize(fixture(), SearchConfig(max_rounds=10, exhaustive=True))
+    assert out.stats.rounds[0].lp_calls == 0
+    assert out.stats.lp_calls == lp_calls
+
+
+def test_each_cone_is_built_once_per_run(monkeypatch):
+    built = []
+    cone = synthesis_engine.Cone
+
+    def counting(generators):
+        built.append(generators)
+        return cone(generators)
+
+    monkeypatch.setattr(synthesis_engine, "Cone", counting)
+    synthesize(bennett9(), SearchConfig(max_rounds=10))
+    assert built
+    assert len(set(built)) == len(built)
+
+
 def test_search_config_validation():
     with pytest.raises(ValueError):
         SearchConfig(max_rounds=0)
