@@ -1,18 +1,20 @@
 """Convex-cone intersection decisions over exact rationals.
 
-The decision kernel is a two-phase simplex with Bland's anti-cycling rule,
-run entirely over Fractions.  Beside it sits the one strict-positivity LP
-(a solution with every coordinate positive) that cone tests, measurement
-validation and tree solving share.  On top sit the cone queries the
-synthesis engine consumes: pairwise/mutual nonzero intersection of cones of
-positive operators, proportionality, and enumeration of maximal mutually
-intersecting families.  A query made only of rays (one-generator cones) is
-decided by `proportional` and solves no LP.
+The decision kernel is a two-phase simplex with Bland's anti-cycling rule on
+an integer tableau over one common denominator, with Bareiss updates: the
+same Bland pivots a Fraction tableau makes.  Beside it sits the one
+strict-positivity LP (a solution with every coordinate positive) that cone
+tests, measurement validation and tree solving share.  On top sit the cone
+queries the synthesis engine consumes: pairwise/mutual nonzero intersection
+of cones of positive operators, proportionality, and enumeration of maximal
+mutually intersecting families.  A query made only of rays (one-generator
+cones) is decided by `proportional` and solves no LP.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Hashable, Optional, Sequence
@@ -50,63 +52,80 @@ class LPProblem:
 
 
 class _Tableau:
-    """Dense exact simplex tableau with Bland pivoting."""
+    """Dense exact simplex tableau with Bland pivoting.
+
+    An integer tableau over one common denominator d > 0: the rational
+    tableau is a / d with right-hand side b / d.  The structural columns
+    and the rhs are scaled to integers by one factor for all rows, which
+    rescales every artificial variable alike, so each sign and ratio
+    Bland's rule reads is the one a Fraction tableau gives and the pivots
+    are the same.  Pivots are fraction-free (Bareiss): every update divides
+    exactly by d.
+    """
 
     def __init__(self, rows, rhs, n_vars: int):
         self.n = n_vars
         self.m = len(rows)
-        self.a = [list(r) for r in rows]
-        self.b = list(rhs)
-        for i in range(self.m):
-            if self.b[i] < 0:
-                self.a[i] = [-v for v in self.a[i]]
-                self.b[i] = -self.b[i]
-        # One artificial variable per row; artificials form the first basis.
-        for i in range(self.m):
-            self.a[i].extend(Fraction(1) if k == i else Fraction(0) for k in range(self.m))
+        scale = math.lcm(*(v.denominator for row in (*rows, rhs) for v in row))
+        self.a: list[list[int]] = []
+        self.b: list[int] = []
+        for i, (row, r) in enumerate(zip(rows, rhs)):
+            sign = -1 if r < 0 else 1
+            self.a.append([sign * v.numerator * (scale // v.denominator) for v in row])
+            self.b.append(sign * r.numerator * (scale // r.denominator))
+            # One artificial variable per row; artificials form the first basis.
+            self.a[i].extend(1 if k == i else 0 for k in range(self.m))
+        self.d = 1
         self.total = self.n + self.m
         self.basis = [self.n + i for i in range(self.m)]
+        self.basic = set(self.basis)
 
     def _pivot(self, row: int, col: int) -> None:
-        piv = self.a[row][col]
-        self.a[row] = [v / piv for v in self.a[row]]
-        self.b[row] /= piv
+        a, b, d = self.a, self.b, self.d
+        prow, pb = a[row], b[row]
+        p = prow[col]
         for i in range(self.m):
-            if i == row:
+            f = a[i][col]
+            if i == row or (f == 0 and p == d):
                 continue
-            f = self.a[i][col]
-            if f == 0:
-                continue
-            self.a[i] = [v - f * w for v, w in zip(self.a[i], self.a[row])]
-            self.b[i] -= f * self.b[row]
+            a[i] = [(p * v - f * w) // d for v, w in zip(a[i], prow)]
+            b[i] = (p * b[i] - f * pb) // d
+        if p < 0:
+            # Only the cleanup of leftover artificials pivots on p < 0.
+            self.a = [[-v for v in r] for r in a]
+            self.b = [-v for v in b]
+            p = -p
+        self.d = p
+        self.basic.remove(self.basis[row])
+        self.basic.add(col)
         self.basis[row] = col
 
-    def _minimize(self, cost: list[Fraction], allowed: int) -> str:
-        """Bland-rule minimization of cost . x over columns < allowed."""
+    def _minimize(self, cost: list[int], allowed: int) -> str:
+        """Bland-rule minimization of the integer cost . x over columns < allowed."""
         while True:
-            duals_basis = [cost[self.basis[i]] for i in range(self.m)]
+            a, b, basis = self.a, self.b, self.basis
+            priced = [(cost[v], a[i]) for i, v in enumerate(basis) if cost[v]]
             entering = -1
             for j in range(allowed):
-                if j in self.basis:
-                    continue
-                reduced = cost[j] - sum(
-                    duals_basis[i] * self.a[i][j] for i in range(self.m)
-                )
-                if reduced < 0:
+                # The reduced cost of column j, times d.
+                if j not in self.basic and self.d * cost[j] < sum(
+                    c * row[j] for c, row in priced
+                ):
                     entering = j
                     break
             if entering < 0:
                 return "optimal"
+            # Smallest (b[i] / a[i][entering], basis[i]) over positive entries.
             leaving = -1
-            best = None
             for i in range(self.m):
-                coef = self.a[i][entering]
-                if coef > 0:
-                    ratio = self.b[i] / coef
-                    key = (ratio, self.basis[i])
-                    if best is None or key < best:
-                        best = key
-                        leaving = i
+                coef = a[i][entering]
+                if coef <= 0:
+                    continue
+                if leaving >= 0:
+                    lhs, rhs = b[i] * a[leaving][entering], b[leaving] * coef
+                    if lhs > rhs or (lhs == rhs and basis[i] > basis[leaving]):
+                        continue
+                leaving = i
             if leaving < 0:
                 return "unbounded"
             self._pivot(leaving, entering)
@@ -115,7 +134,7 @@ class _Tableau:
         x = [Fraction(0)] * self.n
         for i, v in enumerate(self.basis):
             if v < self.n:
-                x[v] = self.b[i]
+                x[v] = Fraction(self.b[i], self.d)
         return x
 
 
@@ -124,8 +143,7 @@ def _solve(p: LPProblem) -> tuple[str, Optional[list[Fraction]], Optional[Fracti
     global _LP_CALLS
     _LP_CALLS += 1
     t = _Tableau(p.rows, p.rhs, p.n_vars)
-    phase1 = [Fraction(0)] * p.n_vars + [Fraction(1)] * t.m
-    t._minimize(phase1, t.total)
+    t._minimize([0] * p.n_vars + [1] * t.m, t.total)
     if sum(t.b[i] for i in range(t.m) if t.basis[i] >= p.n_vars) > 0:
         return "infeasible", None, None
     # Drive leftover artificials out of the basis where possible.
@@ -138,7 +156,8 @@ def _solve(p: LPProblem) -> tuple[str, Optional[list[Fraction]], Optional[Fracti
     if p.objective is None:
         return "optimal", t.solution(), None
     # Artificial columns must never re-enter the basis in phase 2.
-    cost = [-c for c in p.objective] + [Fraction(0)] * t.m
+    scale = math.lcm(*(c.denominator for c in p.objective))
+    cost = [-c.numerator * (scale // c.denominator) for c in p.objective] + [0] * t.m
     status = t._minimize(cost, p.n_vars)
     x = t.solution()
     if status == "unbounded":

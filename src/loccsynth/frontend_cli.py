@@ -14,9 +14,10 @@ Measurement file format (JSON, everything exact):
     }
 
 Every matrix entry is a pair [re, im] of fraction strings such as "1/2" or
-"-1/3": an optional sign, digits, and optionally "/" and more digits.  A
-run writes a machine-readable report whose field order is fixed; the only
-varying fields live under "timing".
+"-1/3": an optional sign, digits, and optionally "/" and more digits, with
+a value no larger than a float can hold.  A run writes a machine-readable
+report whose field order is fixed; the only varying fields live under
+"timing".
 
 Exit codes: 0 protocol found, 1 input error (bad file, bad measurement or
 bad flag), 2 no LOCC protocol (either certificate), 3 inconclusive because a
@@ -66,6 +67,12 @@ def _parse_fraction(text, where: str) -> Fraction:
         if not _FRACTION.fullmatch(text):
             raise ValueError("expected an integer or p/q")
         value = Fraction(text)
+        # The Kraus realization works in floats, so every entry must fit one.
+        float(value)
+    except OverflowError:
+        raise MeasurementFileError(
+            f"{where}: bad fraction {text!r} (beyond float range)"
+        ) from None
     except (ValueError, ZeroDivisionError) as exc:
         raise MeasurementFileError(f"{where}: bad fraction {text!r} ({exc})") from None
     return value

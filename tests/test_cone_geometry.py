@@ -2,13 +2,16 @@
 
 import itertools
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
+import oracle_lp
 from helpers import proj
 from oracle_cones import cones_intersect_oracle
 
+from loccsynth import cone_geometry
 from loccsynth.cone_geometry import (
     Cone,
     LPProblem,
@@ -18,6 +21,7 @@ from loccsynth.cone_geometry import (
     lp_maximize,
     mutually_intersecting_families,
     proportional,
+    strict_positive_solution,
 )
 from loccsynth.exact_algebra import HermitianOp, op_linear_combine, rank_one
 
@@ -65,8 +69,12 @@ def test_lp_degenerate_cycling_prone_terminates():
     assert feasible
     for row, b in zip(rows, rhs):
         assert sum(c * v for c, v in zip(row, x)) == b
-    status, _, _ = lp_maximize(LPProblem(rows, rhs, 7, objective))
-    assert status in ("optimal", "unbounded")
+    assert x == [Fraction(2, 125), 0, 1, Fraction(1, 250), 0, 0, 0]
+    # Beale's optimum: x = (1/25, 0, 1, 0) with value 1/20.
+    status, x, value = lp_maximize(LPProblem(rows, rhs, 7, objective))
+    assert status == "optimal"
+    assert x == [Fraction(1, 25), 0, 1, 0, Fraction(3, 100), 0, 0]
+    assert value == Fraction(1, 20)
 
 
 def test_lp_maximize_value():
@@ -77,6 +85,118 @@ def test_lp_maximize_value():
     )
     assert status == "optimal"
     assert value == 3 and x[0] == 3
+
+
+def _random_lp(rng):
+    """A small equality-form LP with an objective, and the traits it has."""
+    m, n = rng.randint(1, 4), rng.randint(1, 5)
+
+    def entry():
+        kind = rng.random()
+        if kind < 0.35:
+            return Fraction(0)
+        if kind < 0.7:
+            return Fraction(rng.randint(-3, 3))
+        return Fraction(rng.randint(-5, 5), rng.randint(2, 6))
+
+    rows = [[entry() for _ in range(n)] for _ in range(m)]
+    rhs = [rng.choice([Fraction(0), entry(), Fraction(rng.randint(1, 4))]) for _ in range(m)]
+    redundant = rng.random() < 0.3
+    if redundant:
+        # A combination of existing rows, rhs included: linearly dependent.
+        c1, c2 = Fraction(rng.randint(-2, 2), rng.randint(1, 3)), Fraction(rng.randint(1, 3))
+        i, k = rng.randrange(m), rng.randrange(m)
+        rows.append([c1 * u + c2 * v for u, v in zip(rows[i], rows[k])])
+        rhs.append(c1 * rhs[i] + c2 * rhs[k])
+    objective = tuple(Fraction(rng.randint(-7, 7), rng.randint(1, 5)) for _ in range(n))
+    problem = LPProblem(tuple(map(tuple, rows)), tuple(rhs), n, objective)
+    traits = {
+        "redundant": redundant,
+        "negative_rhs": any(b < 0 for b in rhs),
+        "zero_rhs": any(b == 0 for b in rhs),
+        "fractional_entry": any(v.denominator > 1 for row in rows for v in row),
+        "fractional_objective": any(c.denominator > 1 for c in objective),
+    }
+    return problem, traits
+
+
+def _lp_answers(p):
+    plain = LPProblem(p.rows, p.rhs, p.n_vars)
+    return (
+        lp_feasible(plain),
+        lp_maximize(p),
+        strict_positive_solution(p.rows, p.rhs, p.n_vars),
+    )
+
+
+def _record_pivots(monkeypatch, tableau_class, log):
+    pivot = tableau_class._pivot
+
+    def recording(tableau, row, col):
+        log.append((row, col))
+        pivot(tableau, row, col)
+
+    monkeypatch.setattr(tableau_class, "_pivot", recording)
+
+
+def test_lp_kernel_matches_fraction_oracle(monkeypatch):
+    # The integer kernel makes the Fraction tableau's Bland pivots, so every
+    # status, point and value is the oracle's, exactly.  The pivots are
+    # compared too: a change to a tie-break or to the scaling of the rows
+    # leaves these small LPs' answers alone but not their pivots.
+    rng = random.Random(2024)
+    seen = Counter()
+    pivots, oracle_pivots = [], []
+    _record_pivots(monkeypatch, cone_geometry._Tableau, pivots)
+    _record_pivots(monkeypatch, oracle_lp._Tableau, oracle_pivots)
+    for _ in range(300):
+        problem, traits = _random_lp(rng)
+        got = _lp_answers(problem)
+        with monkeypatch.context() as patch:
+            patch.setattr(cone_geometry, "_solve", oracle_lp._solve)
+            want = _lp_answers(problem)
+        assert got == want, problem
+        assert pivots == oracle_pivots, problem
+        pivots.clear()
+        oracle_pivots.clear()
+        seen.update(name for name, present in traits.items() if present)
+        seen[got[1][0]] += 1
+        seen["strict_found"] += got[2] is not None
+    for kind in (
+        "redundant",
+        "negative_rhs",
+        "zero_rhs",
+        "fractional_entry",
+        "fractional_objective",
+        "infeasible",
+        "unbounded",
+        "optimal",
+        "strict_found",
+    ):
+        assert seen[kind] >= 10, (kind, seen)
+
+
+def test_lp_cleanup_pivot_on_negative_entry(monkeypatch):
+    # Phase 1 ends with the artificial of the second row (-3 x2 = 0) basic
+    # at zero.  The cleanup pivots it out on its x2 entry, -6 over the
+    # common denominator 2, and the integer tableau is then negated so that
+    # its denominator stays positive.
+    rows = frac_rows([[2, 0, 1], [0, -3, 0], [-4, 0, -2]])
+    rhs = (Fraction(2), Fraction(0), Fraction(-4))
+    problem = LPProblem(rows, rhs, 3, (Fraction(0), Fraction(0), Fraction(1, 2)))
+    pivots = []
+    pivot = cone_geometry._Tableau._pivot
+
+    def spy(tableau, row, col):
+        pivots.append(tableau.a[row][col])
+        pivot(tableau, row, col)
+        assert tableau.d > 0
+
+    monkeypatch.setattr(cone_geometry._Tableau, "_pivot", spy)
+    got = lp_maximize(problem)
+    assert pivots == [2, -6, 3]
+    assert got == ("optimal", [0, 0, 2], 1)
+    assert got == oracle_lp._solve(problem)
 
 
 # --- cones_intersect --------------------------------------------------------

@@ -193,6 +193,13 @@ def _exponent_doc():
     return doc
 
 
+def _huge_entry_doc():
+    # A valid measurement whose entry no float can hold: the Kraus
+    # realization would end in an OverflowError.
+    big = "1" + "0" * 400
+    return {"dA": 1, "dB": 1, "outcomes": [{"A": [[entry(big)]], "B": [[entry("1")]]}]}
+
+
 @pytest.mark.parametrize(
     "doc, message",
     [
@@ -200,8 +207,15 @@ def _exponent_doc():
         (7, "the top level must be a JSON object"),
         ({**tiny_doc(), "outcomes": 5}, "'outcomes' must be a list"),
         (_exponent_doc(), "bad fraction '1e100000'"),
+        (_huge_entry_doc(), "(beyond float range)"),
     ],
-    ids=["incomplete", "top_level_not_object", "outcomes_not_list", "exponent_entry"],
+    ids=[
+        "incomplete",
+        "top_level_not_object",
+        "outcomes_not_list",
+        "exponent_entry",
+        "huge_entry",
+    ],
 )
 def test_run_rejects_incomplete_family(doc, message, tmp_path, capsys):
     path = tmp_path / "bad.json"
