@@ -2,9 +2,9 @@
 
 Everything that feeds a search decision stays exact: scalars are
 arbitrary-precision rationals, matrix entries are Gaussian rationals, and
-positive-semidefiniteness is certified through the characteristic
-polynomial rather than floating-point eigenvalues.  Floats enter the
-project only at the Kraus-realization boundary.
+positive-semidefiniteness is certified by exact LDLᴴ elimination rather
+than floating-point eigenvalues.  Floats enter the project only at the
+Kraus-realization boundary.
 """
 
 from __future__ import annotations
@@ -74,9 +74,6 @@ class ExactComplex:
     def is_zero(self) -> bool:
         return self.re == 0 and self.im == 0
 
-
-C_ZERO = ExactComplex(Fraction(0), Fraction(0))
-C_ONE = ExactComplex(Fraction(1), Fraction(0))
 
 EntryLike = Union[ExactComplex, RationalLike, tuple]
 
@@ -202,57 +199,42 @@ def vectorize(op: HermitianOp) -> RealVector:
     return tuple(coords)
 
 
-def _matmul(
-    a: tuple[tuple[ExactComplex, ...], ...], b: tuple[tuple[ExactComplex, ...], ...]
-) -> tuple[tuple[ExactComplex, ...], ...]:
-    d = len(a)
-    out = []
-    for i in range(d):
-        row = []
-        for j in range(d):
-            acc = C_ZERO
-            for k in range(d):
-                acc = acc + a[i][k] * b[k][j]
-            row.append(acc)
-        out.append(tuple(row))
-    return tuple(out)
+def is_psd(op: HermitianOp) -> bool:
+    """Exact positive-semidefiniteness test by LDLᴴ elimination.
 
-
-def char_poly(op: HermitianOp) -> tuple[Fraction, ...]:
-    """Characteristic polynomial coefficients, leading term first.
-
-    Returns (1, c_{d-1}, ..., c_0) for p(x) = x^d + c_{d-1} x^{d-1} + ... + c_0,
-    computed with the Faddeev-LeVerrier recurrence over exact rationals.
+    Symmetric Gaussian elimination over the exact entries, with no
+    pivoting and no square roots.  With p = A[k][k] > 0, one step writes
+    A = L (p ⊕ S) Lᴴ for a unit lower-triangular L and the Schur
+    complement S = A' - A'[:, k] A'[k, :] / p of the trailing block A', so
+    A is PSD exactly when S is.  A negative pivot is a negative diagonal
+    entry of such a block, and a zero pivot beside a nonzero entry b gives
+    the 2 x 2 principal minor -|b|^2 < 0: either proves A is not PSD.  A
+    zero pivot with a zero row drops out.
     """
     d = op.dim
-    ident = tuple(
-        tuple(C_ONE if i == j else C_ZERO for j in range(d)) for i in range(d)
-    )
-    coeffs: list[Fraction] = [Fraction(1)]
-    m = ident
-    for k in range(1, d + 1):
-        am = _matmul(op.entries, m)
-        tr = sum((am[i][i].re for i in range(d)), Fraction(0))
-        # Hermitian input keeps every trace in the recurrence real.
-        ck = -tr / k
-        coeffs.append(ck)
-        m = tuple(
-            tuple(am[i][j] + (ident[i][j].scaled(ck)) for j in range(d))
-            for i in range(d)
-        )
-    return tuple(coeffs)
-
-
-def is_psd(op: HermitianOp) -> bool:
-    """Exact positive-semidefiniteness test.
-
-    A Hermitian matrix has only real eigenvalues, and they are all >= 0
-    exactly when the characteristic polynomial coefficients satisfy
-    (-1)^k c_{d-k} >= 0 for every k (the coefficients are signed elementary
-    symmetric functions of the eigenvalues).
-    """
-    coeffs = char_poly(op)
-    return all(coeffs[k] * (-1) ** k >= 0 for k in range(1, len(coeffs)))
+    # Only the upper triangle (j >= i) is read and updated; the trailing
+    # block stays Hermitian, so its lower triangle is implied.
+    re = [[e.re for e in row] for row in op.entries]
+    im = [[e.im for e in row] for row in op.entries]
+    for k in range(d):
+        p = re[k][k]
+        if p < 0:
+            return False
+        ur, ui = re[k], im[k]
+        if p == 0:
+            if any(ur[j] or ui[j] for j in range(k + 1, d)):
+                return False
+            continue
+        for i in range(k + 1, d):
+            if not (ur[i] or ui[i]):
+                continue
+            # x = conj(A[k][i]) / p; row i loses x * A[k][j] for j >= i.
+            xr, xi = ur[i] / p, -ui[i] / p
+            ri, ii = re[i], im[i]
+            for j in range(i, d):
+                ri[j] -= xr * ur[j] - xi * ui[j]
+                ii[j] -= xr * ui[j] + xi * ur[j]
+    return True
 
 
 def op_linear_combine(

@@ -19,10 +19,11 @@ a value no larger than a float can hold.  A run writes a machine-readable
 report whose field order is fixed; the only varying fields live under
 "timing".
 
-Exit codes: 0 protocol found, 1 input error (bad file, bad measurement or
-bad flag), 2 no LOCC protocol (either certificate), 3 inconclusive because a
-search cap truncated enumeration, 4 protocol found but the floating-point
-instrument check failed (the report is still written).
+Exit codes: 0 protocol found, 1 input error (bad file, bad measurement, bad
+flag, a protocol whose values no float can hold, or an output path that
+cannot be written), 2 no LOCC protocol (either certificate), 3 inconclusive
+because a search cap truncated enumeration, 4 protocol found but the
+floating-point instrument check failed (the report is still written).
 """
 
 from __future__ import annotations
@@ -281,9 +282,15 @@ def run(
         "outcomes": m.n_outcomes,
         "max_rounds": max_rounds,
     }
+    artifacts = []
     if isinstance(result, LOCCProtocol):
-        kp = realize(result, rank_tol=rank_tol)
-        instrument = verify_instrument(kp, m)
+        try:
+            kp = realize(result, rank_tol=rank_tol)
+            instrument = verify_instrument(kp, m)
+        except OverflowError as exc:
+            # Entries that fit a float can still solve to values that do not.
+            print(f"input error: protocol values beyond float range ({exc})", file=out)
+            return 1
         report["verdict"] = "LOCC_PROTOCOL"
         report["stats"] = _stats_dict(result.stats)
         report["protocol"] = {
@@ -308,7 +315,7 @@ def run(
             file=out,
         )
         if dot_path:
-            Path(dot_path).write_text(tree_to_dot(result.tree, result))
+            artifacts.append((dot_path, tree_to_dot(result.tree, result)))
     else:
         report["verdict"] = result.verdict
         report["stats"] = _stats_dict(result.stats)
@@ -318,7 +325,13 @@ def run(
             print("note: no protocol tree to render", file=out)
     report["timing"] = {"wall_time_s": time.monotonic() - started}
     if report_path:
-        Path(report_path).write_text(json.dumps(report, indent=1) + "\n")
+        artifacts.append((report_path, json.dumps(report, indent=1) + "\n"))
+    for artifact_path, text in artifacts:
+        try:
+            Path(artifact_path).write_text(text)
+        except OSError as exc:
+            print(f"input error: cannot write {artifact_path}: {exc.strerror}", file=out)
+            return 1
     return exit_code
 
 

@@ -18,10 +18,11 @@ from helpers import (
     sum_rule_values_hold,
 )
 from oracle_cones import cones_intersect_oracle
+from oracle_psd import char_poly
 
 from loccsynth import synthesis_engine
 from loccsynth.cone_geometry import Cone, cones_intersect, proportional
-from loccsynth.exact_algebra import HermitianOp, char_poly, kron, op_linear_combine
+from loccsynth.exact_algebra import HermitianOp, kron, op_linear_combine
 from loccsynth.fixtures import (
     bennett9,
     conditional_basis_2x2,

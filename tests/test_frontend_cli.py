@@ -200,6 +200,12 @@ def _huge_entry_doc():
     return {"dA": 1, "dB": 1, "outcomes": [{"A": [[entry(big)]], "B": [[entry("1")]]}]}
 
 
+def _huge_weight_doc():
+    # Every entry fits a float, but the completing weight 10^400 does not.
+    tiny = "1/1" + "0" * 200
+    return {"dA": 1, "dB": 1, "outcomes": [{"A": [[entry(tiny)]], "B": [[entry(tiny)]]}]}
+
+
 @pytest.mark.parametrize(
     "doc, message",
     [
@@ -208,6 +214,7 @@ def _huge_entry_doc():
         ({**tiny_doc(), "outcomes": 5}, "'outcomes' must be a list"),
         (_exponent_doc(), "bad fraction '1e100000'"),
         (_huge_entry_doc(), "(beyond float range)"),
+        (_huge_weight_doc(), "protocol values beyond float range"),
     ],
     ids=[
         "incomplete",
@@ -215,6 +222,7 @@ def _huge_entry_doc():
         "outcomes_not_list",
         "exponent_entry",
         "huge_entry",
+        "huge_weight",
     ],
 )
 def test_run_rejects_incomplete_family(doc, message, tmp_path, capsys):
@@ -252,6 +260,16 @@ def test_bad_flags_are_input_errors(flags, message, tmp_path, capsys):
     out = capsys.readouterr().out
     assert out.startswith("input error: ") and message in out
     assert not rep.exists()
+
+
+@pytest.mark.parametrize("flag", ["--report", "--dot"])
+def test_unwritable_artifact_is_an_input_error(flag, tmp_path, capsys):
+    path = tmp_path / "missing_dir" / "out"
+    code = main([str(DATA / "product_basis_2x2.json"), "-L", "4", flag, str(path)])
+    assert code == 1
+    out = capsys.readouterr().out
+    assert f"input error: cannot write {path}: " in out
+    assert not path.exists()
 
 
 def test_failed_instrument_check_exits_4(monkeypatch, tmp_path, capsys):
