@@ -9,15 +9,21 @@ queries the synthesis engine consumes: pairwise/mutual nonzero intersection
 of cones of positive operators, proportionality, and enumeration of maximal
 mutually intersecting families.  A query made only of rays (one-generator
 cones) is decided by `proportional` and solves no LP.
+
+Whether cones intersect depends only on the cones as sets of operators, so
+`IntersectionMemo` answers a yes/no query once per key: the set of cones,
+each keyed by its set of generator rays (`Cone.key`).  The synthesis
+engine keeps one memo for one `synthesize` call.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Hashable, Optional, Sequence
+from typing import Callable, Hashable, Optional, Sequence
 
 from .exact_algebra import HermitianOp, is_psd, op_linear_combine, vectorize
 
@@ -219,6 +225,14 @@ def strict_positive_solution(rows, rhs, n: int) -> Optional[list[Fraction]]:
     return point[:n]
 
 
+def _primitive_vector(g: HermitianOp) -> tuple[int, ...]:
+    coords = vectorize(g)
+    scale = math.lcm(*(v.denominator for v in coords))
+    ints = [v.numerator * (scale // v.denominator) for v in coords]
+    common = math.gcd(*ints)  # nonzero: cone generators are nonzero
+    return tuple(v // common for v in ints)
+
+
 @dataclass(frozen=True)
 class Cone:
     """Cone of nonnegative combinations of nonzero PSD generators."""
@@ -240,6 +254,19 @@ class Cone:
     @property
     def dim(self) -> int:
         return self.generators[0].dim
+
+    @functools.cached_property
+    def key(self) -> frozenset[tuple[int, ...]]:
+        """The set of generator rays: equal for cones that differ only by
+        positive rescaling, order or repetition of generators, which are
+        the same set of operators.
+
+        A ray is keyed by the primitive integer vector on it (coordinates
+        as in `vectorize`, divided by their gcd).  Two generators get one
+        vector exactly when their trace-one multiples g / tr g are equal,
+        and it is built with integer arithmetic only.
+        """
+        return frozenset(_primitive_vector(g) for g in self.generators)
 
 
 @dataclass(frozen=True)
@@ -347,6 +374,37 @@ def proportional(x: HermitianOp, y: HermitianOp) -> Optional[Fraction]:
     return None
 
 
+class IntersectionMemo:
+    """`cones_intersect(cones, strict) is not None`, answered once per key.
+
+    The key is (strict, the set of `Cone.key`s).  The answer is a property
+    of the set of cones, each taken as a set of operators: plainly, whether
+    they share a nonzero point; strictly, whether they share a nonzero
+    point in every cone's relative interior, which is the set of strictly
+    positive combinations of its generators (Rockafellar, Convex Analysis,
+    Thm 6.6).  So rescaling a generator by a positive rational, reordering
+    or repeating generators, and reordering or repeating cones leave both
+    the key and the answer unchanged.  Only the boolean is kept, never a
+    witness.  A miss calls `cones_intersect` through its module-global name,
+    looked up at call time, so a wrapper bound to that name (a tracer) sees
+    every query that is solved.
+    """
+
+    def __init__(self) -> None:
+        self.answers: dict[tuple[bool, frozenset], bool] = {}
+        self.hits = 0
+
+    def __call__(self, cones: Sequence[Cone], strict: bool) -> bool:
+        key = (strict, frozenset(cone.key for cone in cones))
+        answer = self.answers.get(key)
+        if answer is None:
+            answer = cones_intersect(cones, strict=strict) is not None
+            self.answers[key] = answer
+        else:
+            self.hits += 1
+        return answer
+
+
 def _max_cliques(n: int, adj: list[set[int]]) -> list[frozenset[int]]:
     """Maximal cliques of an undirected graph (Bron-Kerbosch, deterministic)."""
     cliques: list[frozenset[int]] = []
@@ -369,6 +427,7 @@ def mutually_intersecting_families(
     strict: bool = False,
     size_cap: int = 12,
     exhaustive: bool = False,
+    intersect: Optional[Callable[[Sequence[Cone], bool], bool]] = None,
 ) -> tuple[list[frozenset], bool]:
     """All maximal subsets (size >= 2) whose cones share a common point.
 
@@ -377,23 +436,34 @@ def mutually_intersecting_families(
     clique exceeds size_cap and exhaustive is False, its subsets are only
     explored greedily and `complete` comes back False, signalling that a
     negative search verdict built on this enumeration is not conclusive.
+
+    Only whether each query's cones intersect is read, never a witness.
+    `intersect(cones, strict)` answers that when given (for example an
+    `IntersectionMemo` shared by every round of one run); otherwise each
+    query calls `cones_intersect`.
     """
     n = len(items)
     ids = [item[0] for item in items]
     cones = [item[1] for item in items]
     if len(set(ids)) != n:
         raise ValueError("item ids must be unique")
+
+    def meets(query: list[Cone]) -> bool:
+        if intersect is not None:
+            return intersect(query, strict)
+        return cones_intersect(query, strict=strict) is not None
+
     complete = True
     pair_ok = [[False] * n for _ in range(n)]
     for i, j in itertools.combinations(range(n), 2):
-        ok = cones_intersect([cones[i], cones[j]], strict=strict) is not None
+        ok = meets([cones[i], cones[j]])
         pair_ok[i][j] = pair_ok[j][i] = ok
     adj = [{j for j in range(n) if j != i and pair_ok[i][j]} for i in range(n)]
 
     def joint(subset: tuple[int, ...]) -> bool:
         if len(subset) == 2:
             return pair_ok[subset[0]][subset[1]]
-        return cones_intersect([cones[i] for i in subset], strict=strict) is not None
+        return meets([cones[i] for i in subset])
 
     verified: list[frozenset[int]] = []
     for clique in sorted(_max_cliques(n, adj), key=lambda c: tuple(sorted(c))):

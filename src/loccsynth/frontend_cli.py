@@ -21,9 +21,10 @@ report whose field order is fixed; the only varying fields live under
 
 Exit codes: 0 protocol found, 1 input error (bad file, bad measurement, bad
 flag, a protocol whose values no float can hold, or an output path that
-cannot be written), 2 no LOCC protocol (either certificate), 3 inconclusive
-because a search cap truncated enumeration, 4 protocol found but the
-floating-point instrument check failed (the report is still written).
+cannot be written, checked before the search), 2 no LOCC protocol (either
+certificate), 3 inconclusive because a search cap truncated enumeration, 4
+protocol found but the floating-point instrument check failed (the report
+is still written).
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import re
 import sys
 import time
@@ -215,6 +217,7 @@ def _stats_dict(stats) -> dict:
         "rounds_completed": stats.rounds_completed,
         "last_progress_round": stats.last_progress_round,
         "lp_calls": stats.lp_calls,
+        "memo_hits": stats.memo_hits,
         "trees_total": stats.trees_total,
         "capped": stats.capped,
         "signature_dedup_hits": stats.signature_dedup_hits,
@@ -230,6 +233,7 @@ def _stats_dict(stats) -> dict:
                 "trees_created": r.trees_created,
                 "trees_total": r.trees_total,
                 "lp_calls": r.lp_calls,
+                "memo_hits": r.memo_hits,
             }
             for r in stats.rounds
         ],
@@ -238,6 +242,18 @@ def _stats_dict(stats) -> dict:
 
 def _coeff_dict(table: dict[LeafRef, Fraction]) -> dict:
     return {f"{r.j},{r.k}": _fraction_str(v) for r, v in sorted(table.items())}
+
+
+def _check_writable(path) -> None:
+    """Raise OSError unless `path` can be opened for writing.
+
+    Opened for appending, so an existing file keeps its content; a file the
+    check itself created is removed again."""
+    existed = os.path.lexists(path)
+    with open(path, "a"):
+        pass
+    if not existed:
+        os.unlink(path)
 
 
 def run(
@@ -253,7 +269,9 @@ def run(
 ) -> int:
     """Parse, synthesize, realize, verify; write artifacts; return exit code.
 
-    The measurement's completeness weight LP runs once, inside synthesize."""
+    The measurement's completeness weight LP runs once, inside synthesize.
+    The output paths are checked before the search, so an unwritable one
+    costs no search and prints nothing but its input error."""
     if out is None:
         out = sys.stdout
     started = time.monotonic()
@@ -270,6 +288,14 @@ def run(
     except (ValueError, OSError) as exc:
         print(f"input error: {exc}", file=out)
         return 1
+    for artifact_path in (dot_path, report_path):
+        if not artifact_path:
+            continue
+        try:
+            _check_writable(artifact_path)
+        except OSError as exc:
+            print(f"input error: cannot write {artifact_path}: {exc.strerror}", file=out)
+            return 1
     try:
         result = synthesize(m, cfg)
     except MeasurementError as exc:

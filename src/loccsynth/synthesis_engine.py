@@ -22,6 +22,7 @@ from typing import Optional, Union
 
 from .cone_geometry import (
     Cone,
+    IntersectionMemo,
     LPProblem,
     lp_call_count,
     lp_feasible,
@@ -132,14 +133,20 @@ class RoundStats:
     trees_created: int
     trees_total: int
     lp_calls: int
+    memo_hits: int
 
 
 @dataclass(frozen=True)
 class SearchStats:
+    """Run counters.  `lp_calls` counts the exact LPs actually solved, here
+    and per round; `memo_hits` counts the cone queries the run's
+    `IntersectionMemo` answered without one."""
+
     rounds: tuple[RoundStats, ...]
     rounds_completed: int
     last_progress_round: int
     lp_calls: int
+    memo_hits: int
     trees_total: int
     capped: bool
     signature_dedup_hits: int
@@ -447,6 +454,7 @@ def synthesize(m: SeparableMeasurement, cfg: SearchConfig) -> SynthesisOutcome:
     seen_sigs = {equivalence_signature(t) for t in frontier}
     seen_families: dict[str, list[frozenset[frozenset[int]]]] = {"A": [], "B": []}
     cone_of = functools.cache(Cone)  # one Cone per distinct generator tuple
+    intersect = IntersectionMemo()
     rounds: list[RoundStats] = []
     capped = False
     dedup_hits = 0
@@ -460,6 +468,7 @@ def synthesize(m: SeparableMeasurement, cfg: SearchConfig) -> SynthesisOutcome:
             rounds_completed=rounds_completed,
             last_progress_round=last_progress,
             lp_calls=lp_call_count() - lp_base,
+            memo_hits=intersect.hits,
             trees_total=trees_total,
             capped=capped,
             signature_dedup_hits=dedup_hits,
@@ -474,6 +483,7 @@ def synthesize(m: SeparableMeasurement, cfg: SearchConfig) -> SynthesisOutcome:
     for round_index in range(1, cfg.max_rounds + 1):
         side = frontier[0].root.side
         lp_round_base = lp_call_count()
+        hits_round_base = intersect.hits
         groups: dict[frozenset[int], list[Tree]] = {}
         for t in frontier:
             groups.setdefault(_root_key(t), []).append(t)
@@ -486,6 +496,7 @@ def synthesize(m: SeparableMeasurement, cfg: SearchConfig) -> SynthesisOutcome:
             strict=True,
             size_cap=cfg.family_size_cap,
             exhaustive=cfg.exhaustive,
+            intersect=intersect,
         )
         if not complete:
             capped = True
@@ -563,6 +574,7 @@ def synthesize(m: SeparableMeasurement, cfg: SearchConfig) -> SynthesisOutcome:
                 trees_created=len(created),
                 trees_total=trees_total,
                 lp_calls=lp_call_count() - lp_round_base,
+                memo_hits=intersect.hits - hits_round_base,
             )
         )
         if protocol is not None:

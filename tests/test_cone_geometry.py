@@ -14,6 +14,7 @@ from oracle_cones import cones_intersect_oracle
 from loccsynth import cone_geometry
 from loccsynth.cone_geometry import (
     Cone,
+    IntersectionMemo,
     LPProblem,
     cones_intersect,
     lp_call_count,
@@ -365,17 +366,20 @@ def test_families_three_way_requires_common_point():
 # --- oracle agreement (also exercised by the acceptance suite) --------------
 
 
+ORACLE_POOL = [
+    ZERO,
+    ONE,
+    PLUS,
+    MINUS,
+    proj((3, 4)),
+    proj((4, -3)),
+    HermitianOp.identity(2),
+    op_linear_combine([(Fraction(1, 2), ZERO), (1, PLUS)]),
+]
+
+
 def test_two_cone_queries_match_oracle():
-    pool = [
-        ZERO,
-        ONE,
-        PLUS,
-        MINUS,
-        proj((3, 4)),
-        proj((4, -3)),
-        HermitianOp.identity(2),
-        op_linear_combine([(Fraction(1, 2), ZERO), (1, PLUS)]),
-    ]
+    pool = ORACLE_POOL
     rng = random.Random(23)
     queries = 0
     for _ in range(220):
@@ -386,3 +390,50 @@ def test_two_cone_queries_match_oracle():
         assert got == want
         queries += 1
     assert queries >= 200
+
+
+# --- the memo key -------------------------------------------------------------
+
+
+def _same_key_query(query, rng):
+    """The query with generators rescaled, reordered and duplicated, and
+    cones reordered and repeated: the same cones as sets of operators."""
+    cones = []
+    for gens in query:
+        gens = [g.scale(Fraction(rng.randint(1, 6), rng.randint(1, 6))) for g in gens]
+        if rng.random() < 0.4:
+            gens.append(rng.choice(gens).scale(rng.randint(2, 5)))
+        rng.shuffle(gens)
+        cones.append(tuple(gens))
+    if rng.random() < 0.4:
+        cones.append(rng.choice(cones))
+    rng.shuffle(cones)
+    return cones
+
+
+def test_queries_sharing_a_memo_key_share_the_answer():
+    rng = random.Random(41)
+    memo = IntersectionMemo()
+    seen = Counter()
+    for _ in range(250):
+        query = [
+            tuple(rng.sample(ORACLE_POOL, rng.randint(1, 3)))
+            for _ in range(rng.randint(2, 4))
+        ]
+        cones = [Cone(gens) for gens in query]
+        twins = [Cone(gens) for gens in _same_key_query(query, rng)]
+        assert {c.key for c in cones} == {c.key for c in twins}
+        for strict in (False, True):
+            got = cones_intersect(cones, strict=strict) is not None
+            assert (cones_intersect(twins, strict=strict) is not None) == got
+            assert memo(cones, strict) == got
+            hits = memo.hits
+            assert memo(twins, strict) == got
+            assert memo.hits == hits + 1
+            seen[strict, got] += 1
+        if len(query) == 2:
+            plain = cones_intersect(cones) is not None
+            assert plain == cones_intersect_oracle(list(query[0]), list(query[1]))
+            seen["oracle"] += 1
+    for kind in ((False, True), (False, False), (True, True), (True, False), "oracle"):
+        assert seen[kind] >= 10, (kind, seen)

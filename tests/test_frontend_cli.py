@@ -263,13 +263,30 @@ def test_bad_flags_are_input_errors(flags, message, tmp_path, capsys):
 
 
 @pytest.mark.parametrize("flag", ["--report", "--dot"])
-def test_unwritable_artifact_is_an_input_error(flag, tmp_path, capsys):
+def test_unwritable_artifact_is_an_input_error(flag, monkeypatch, tmp_path, capsys):
+    # The output path is checked before the search, which must not start.
+    def no_search(m, cfg):
+        raise AssertionError("synthesize ran")
+
+    monkeypatch.setattr(frontend_cli, "synthesize", no_search)
     path = tmp_path / "missing_dir" / "out"
-    code = main([str(DATA / "product_basis_2x2.json"), "-L", "4", flag, str(path)])
-    assert code == 1
+    argv = [str(DATA / "product_basis_3x3.json"), "-L", "10", "--exhaustive"]
+    assert main([*argv, flag, str(path)]) == 1
     out = capsys.readouterr().out
-    assert f"input error: cannot write {path}: " in out
+    assert out.startswith(f"input error: cannot write {path}: ")
+    assert len(out.splitlines()) == 1
     assert not path.exists()
+
+
+def test_failed_run_keeps_an_existing_report(tmp_path, capsys):
+    # Checking the report path up front must not truncate the old report.
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(_huge_weight_doc()))
+    rep = tmp_path / "report.json"
+    rep.write_text("old report\n")
+    assert run(path, report_path=rep) == 1
+    assert "protocol values beyond float range" in capsys.readouterr().out
+    assert rep.read_text() == "old report\n"
 
 
 def test_failed_instrument_check_exits_4(monkeypatch, tmp_path, capsys):

@@ -1,15 +1,17 @@
 """Measurement validation and the synthesis loop."""
 
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
 from helpers import permute_outcomes, proj, random_rescale
 
-from loccsynth import synthesis_engine
+from loccsynth import cone_geometry, synthesis_engine
 from loccsynth.exact_algebra import HermitianOp
 from loccsynth.fixtures import (
+    BUILTIN,
     bennett9,
     conditional_basis_2x2,
     example4,
@@ -174,7 +176,7 @@ def test_determinism_of_runs():
     assert isinstance(a, LOCCProtocol) and isinstance(b, LOCCProtocol)
     assert tree_to_text(a.tree) == tree_to_text(b.tree)
     assert a.q == b.q and a.p == b.p
-    assert a.stats.rounds == b.stats.rounds
+    assert a.stats == b.stats
 
 
 def test_verdict_invariance_under_permutation_and_scaling():
@@ -206,21 +208,68 @@ def test_protocols_verify_exactly():
 
 
 @pytest.mark.parametrize(
-    "fixture, lp_calls",
+    "fixture, lp_calls, round_lp_calls, memo_hits, round_memo_hits",
     [
-        (bennett9, 57),
-        (lambda: product_basis(3, 3), 180),
-        (example4, 69),
-        (example5, 108),
+        (bennett9, 15, [0, 15, 0, 0], 163, [13, 40, 55, 55]),
+        (lambda: product_basis(3, 3), 24, [0, 24], 228, [33, 195]),
+        (example4, 41, [0, 26, 3, 12], 56, [7, 0, 13, 36]),
+        (example5, 70, [0, 34, 11, 25], 92, [11, 0, 26, 55]),
     ],
     ids=["bennett9", "product_basis_3x3", "example4", "example5"],
 )
-def test_lp_calls_count_only_non_ray_queries(fixture, lp_calls):
+def test_lp_calls_count_only_non_ray_queries(
+    fixture, lp_calls, round_lp_calls, memo_hits, round_memo_hits
+):
     # Round one's labels are all rays, so it solves no LP; later rounds
-    # solve one only for queries holding a multi-outcome label.
+    # solve one only for queries holding a multi-outcome label that the
+    # run has not asked before, up to generator scaling and order.
     out = synthesize(fixture(), SearchConfig(max_rounds=10, exhaustive=True))
-    assert out.stats.rounds[0].lp_calls == 0
     assert out.stats.lp_calls == lp_calls
+    assert [r.lp_calls for r in out.stats.rounds] == round_lp_calls
+    assert out.stats.memo_hits == memo_hits
+    assert [r.memo_hits for r in out.stats.rounds] == round_memo_hits
+
+
+class _NoMemo:
+    """Stands in for IntersectionMemo: every query solves afresh."""
+
+    hits = 0
+
+    def __call__(self, cones, strict):
+        return cone_geometry.cones_intersect(cones, strict=strict) is not None
+
+
+def _memo_free(stats):
+    return replace(
+        stats,
+        lp_calls=0,
+        memo_hits=0,
+        rounds=tuple(replace(r, lp_calls=0, memo_hits=0) for r in stats.rounds),
+    )
+
+
+@pytest.mark.parametrize("name", sorted(BUILTIN))
+def test_memo_changes_only_its_counters(name, monkeypatch):
+    # The memo answers a query from an earlier one with the same key; the
+    # rescaled and permuted copies make labels equal only up to scaling.
+    rng = random.Random(f"memo-{name}")
+    m = BUILTIN[name]()
+    variants = [m] + [random_rescale(permute_outcomes(m, rng), rng) for _ in range(2)]
+    cfg = SearchConfig(max_rounds=10, exhaustive=True)
+    for variant in variants:
+        memo = synthesize(variant, cfg)
+        with monkeypatch.context() as patch:
+            patch.setattr(synthesis_engine, "IntersectionMemo", _NoMemo)
+            bare = synthesize(variant, cfg)
+        assert type(memo) is type(bare)
+        assert _memo_free(memo.stats) == _memo_free(bare.stats)
+        assert bare.stats.memo_hits == 0
+        assert memo.stats.lp_calls <= bare.stats.lp_calls
+        if isinstance(memo, LOCCProtocol):
+            assert tree_to_text(memo.tree) == tree_to_text(bare.tree)
+            assert memo.q == bare.q and memo.p == bare.p
+        else:
+            assert memo.verdict == bare.verdict
 
 
 def test_each_cone_is_built_once_per_run(monkeypatch):
