@@ -379,12 +379,11 @@ ORACLE_POOL = [
 
 
 def test_two_cone_queries_match_oracle():
-    pool = ORACLE_POOL
     rng = random.Random(23)
     queries = 0
     for _ in range(220):
-        g1 = tuple(rng.sample(pool, rng.randint(1, 3)))
-        g2 = tuple(rng.sample(pool, rng.randint(1, 3)))
+        g1 = tuple(rng.sample(ORACLE_POOL, rng.randint(1, 3)))
+        g2 = tuple(rng.sample(ORACLE_POOL, rng.randint(1, 3)))
         got = cones_intersect([Cone(g1), Cone(g2)]) is not None
         want = cones_intersect_oracle(list(g1), list(g2))
         assert got == want
