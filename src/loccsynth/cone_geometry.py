@@ -2,13 +2,15 @@
 
 The decision kernel is a two-phase simplex with Bland's anti-cycling rule on
 an integer tableau over one common denominator, with Bareiss updates: the
-same Bland pivots a Fraction tableau makes.  Beside it sits the one
-strict-positivity LP (a solution with every coordinate positive) that cone
-tests, measurement validation and tree solving share.  On top sit the cone
-queries the synthesis engine consumes: pairwise/mutual nonzero intersection
-of cones of positive operators, proportionality, and enumeration of maximal
-mutually intersecting families.  A query made only of rays (one-generator
-cones) is decided by `proportional` and solves no LP.
+same Bland pivots a Fraction tableau makes.  `lp_feasible` and
+`lp_maximize` hand it each LP without its 0 = 0 rows, which changes no
+pivot.  Beside it sits the one strict-positivity LP (a solution with every
+coordinate positive) that cone tests, measurement validation and tree
+solving share.  On top sit the cone queries the synthesis engine consumes:
+pairwise/mutual nonzero intersection of cones of positive operators,
+proportionality, and enumeration of maximal mutually intersecting families.
+A query made only of rays (one-generator cones) is decided by
+`proportional` and solves no LP.
 
 Whether cones intersect depends only on the cones as sets of operators, so
 `IntersectionMemo` answers a yes/no query once per key: the set of cones,
@@ -25,7 +27,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Hashable, Optional, Sequence
 
-from .exact_algebra import HermitianOp, is_psd, op_linear_combine, vectorize
+from .exact_algebra import HermitianOp, RealVector, is_psd, op_linear_combine, vectorize
 
 # Running count of simplex solves, reported in run statistics.
 _LP_CALLS = 0
@@ -172,13 +174,33 @@ def _solve(p: LPProblem) -> tuple[str, Optional[list[Fraction]], Optional[Fracti
     return "optimal", x, value
 
 
+def _without_empty_rows(
+    p: LPProblem, objective: Optional[tuple[Fraction, ...]]
+) -> LPProblem:
+    """p with `objective`, minus every row that reads 0 = 0.
+
+    A row whose coefficients and rhs are all zero changes no pivot: it
+    never leaves the basis (all its entries stay 0), so its artificial
+    variable stays basic at 0 and never enters; it adds nothing to any
+    reduced cost, to the phase-1 sum or to the common denominator; and the
+    other rows and their artificials keep their relative order, which is
+    all Bland's rule reads.  So the solve makes the same pivots and returns
+    the same status, point and value on fewer rows.  A row 0 = b with
+    b != 0 stays: it makes the LP infeasible.
+    """
+    keep = [i for i, row in enumerate(p.rows) if p.rhs[i] or any(row)]
+    return LPProblem(
+        tuple(p.rows[i] for i in keep), tuple(p.rhs[i] for i in keep), p.n_vars, objective
+    )
+
+
 def lp_feasible(p: LPProblem) -> tuple[bool, Optional[list[Fraction]]]:
     """Exact feasibility of rows . x = rhs, x >= 0.
 
     Unboundedness of an optional objective is irrelevant here: any run that
     finds a basic point reports feasible.
     """
-    status, point, _ = _solve(LPProblem(p.rows, p.rhs, p.n_vars))
+    status, point, _ = _solve(_without_empty_rows(p, None))
     if status == "infeasible":
         return False, None
     return True, point
@@ -188,7 +210,7 @@ def lp_maximize(p: LPProblem) -> tuple[str, Optional[list[Fraction]], Optional[F
     """Maximize p.objective over the feasible set (status/point/value)."""
     if p.objective is None:
         raise ValueError("lp_maximize needs an objective row")
-    return _solve(p)
+    return _solve(_without_empty_rows(p, p.objective))
 
 
 def strict_positive_solution(rows, rhs, n: int) -> Optional[list[Fraction]]:
@@ -225,17 +247,24 @@ def strict_positive_solution(rows, rhs, n: int) -> Optional[list[Fraction]]:
     return point[:n]
 
 
-def _primitive_vector(g: HermitianOp) -> tuple[int, ...]:
-    coords = vectorize(g)
+def ray_key(coords: RealVector) -> tuple[int, ...]:
+    """The primitive integer vector on the ray of a nonzero coordinate
+    vector: the coordinates scaled to integers and divided by their gcd.
+    Two nonzero vectors get one key exactly when one is a positive multiple
+    of the other, and it is built with integer arithmetic only."""
     scale = math.lcm(*(v.denominator for v in coords))
     ints = [v.numerator * (scale // v.denominator) for v in coords]
-    common = math.gcd(*ints)  # nonzero: cone generators are nonzero
+    common = math.gcd(*ints)
     return tuple(v // common for v in ints)
 
 
 @dataclass(frozen=True)
 class Cone:
-    """Cone of nonnegative combinations of nonzero PSD generators."""
+    """Cone of nonnegative combinations of nonzero PSD generators.
+
+    Each generator's coordinate vector (`vectors`) is computed once per
+    Cone; the intersection LP and `key` read it.
+    """
 
     generators: tuple[HermitianOp, ...]
 
@@ -256,17 +285,21 @@ class Cone:
         return self.generators[0].dim
 
     @functools.cached_property
+    def vectors(self) -> tuple[RealVector, ...]:
+        """`vectorize(g)` for each generator g, in generator order."""
+        return tuple(vectorize(g) for g in self.generators)
+
+    @functools.cached_property
     def key(self) -> frozenset[tuple[int, ...]]:
         """The set of generator rays: equal for cones that differ only by
         positive rescaling, order or repetition of generators, which are
         the same set of operators.
 
-        A ray is keyed by the primitive integer vector on it (coordinates
-        as in `vectorize`, divided by their gcd).  Two generators get one
-        vector exactly when their trace-one multiples g / tr g are equal,
-        and it is built with integer arithmetic only.
+        A ray is keyed by `ray_key` of its coordinate vector.  Two
+        generators get one key exactly when their trace-one multiples
+        g / tr g are equal.
         """
-        return frozenset(_primitive_vector(g) for g in self.generators)
+        return frozenset(ray_key(v) for v in self.vectors)
 
 
 @dataclass(frozen=True)
@@ -294,13 +327,12 @@ def _intersection_problem(cones: Sequence[Cone]) -> tuple[LPProblem, list[int]]:
     vec_len = dim * dim
     rows: list[list[Fraction]] = []
     rhs: list[Fraction] = []
-    vecs = [[vectorize(g) for g in cone.generators] for cone in cones]
     for ci in range(1, len(cones)):
         for comp in range(vec_len):
             row = [Fraction(0)] * n
-            for gi, v in enumerate(vecs[0]):
+            for gi, v in enumerate(cones[0].vectors):
                 row[offsets[0] + gi] = v[comp]
-            for gi, v in enumerate(vecs[ci]):
+            for gi, v in enumerate(cones[ci].vectors):
                 row[offsets[ci] + gi] -= v[comp]
             rows.append(row)
             rhs.append(Fraction(0))

@@ -16,9 +16,9 @@ from typing import Optional
 
 import numpy as np
 
-from .exact_algebra import HermitianOp
+from .exact_algebra import HermitianOp, RealVector
 from .protocol_tree import LeafRef, TreeNode
-from .synthesis_engine import LOCCProtocol, _side_value
+from .synthesis_engine import LOCCProtocol, _side_coords
 
 FloatOp = np.ndarray
 
@@ -29,6 +29,21 @@ def to_float(op: HermitianOp) -> FloatOp:
         for j in range(op.dim):
             e = op.entries[i][j]
             out[i, j] = complex(float(e.re), float(e.im))
+    return out
+
+
+def _coords_to_float(coords: RealVector, dim: int) -> FloatOp:
+    """The float matrix whose exact `vectorize` coordinates are `coords`:
+    entry for entry what `to_float` gives on that operator."""
+    out = np.empty((dim, dim), dtype=complex)
+    k = dim
+    for i in range(dim):
+        out[i, i] = float(coords[i])
+        for j in range(i + 1, dim):
+            re = float(coords[k])
+            out[i, j] = complex(re, float(coords[k + 1]))
+            out[j, i] = complex(re, float(-coords[k + 1]))
+            k += 2
     return out
 
 
@@ -128,7 +143,8 @@ def realize(protocol: LOCCProtocol, rank_tol: float = 1e-10) -> KrausProtocol:
     coeffs = {"A": protocol.q, "B": protocol.p}
 
     def value_of(node: TreeNode) -> FloatOp:
-        return to_float(_side_value(m, node.side, node.terms, coeffs[node.side]))
+        coords = _side_coords(m, node.side, node.terms, coeffs[node.side])
+        return _coords_to_float(coords, m.side_dim(node.side))
 
     def build(node: TreeNode, acc_prev: dict[str, FloatOp]) -> KrausNode:
         value = value_of(node)

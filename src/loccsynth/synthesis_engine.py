@@ -27,16 +27,10 @@ from .cone_geometry import (
     lp_call_count,
     lp_feasible,
     mutually_intersecting_families,
-    proportional,
+    ray_key,
     strict_positive_solution,
 )
-from .exact_algebra import (
-    HermitianOp,
-    is_psd,
-    kron,
-    op_linear_combine,
-    vectorize,
-)
+from .exact_algebra import HermitianOp, RealVector, is_psd, kron, vectorize
 from .protocol_tree import (
     LeafRef,
     OpConstraint,
@@ -73,7 +67,14 @@ class ProtocolVerificationError(AssertionError):
 
 @dataclass(frozen=True)
 class SeparableMeasurement:
-    """Indexed product positive operators (A_j, B_j), j = 1..n."""
+    """Indexed product positive operators (A_j, B_j), j = 1..n.
+
+    Each operator's coordinate vector (`vec`) and each outcome's product
+    vector `vectorize(A_j (x) B_j)` (`product_vectors`) are computed once
+    per measurement and cached on it, outside the dataclass fields, so
+    equality and repr are unchanged.  The weight LP, the tree systems and
+    `verify_protocol_exact` all read them.
+    """
 
     dA: int
     dB: int
@@ -92,12 +93,24 @@ class SeparableMeasurement:
                     raise MeasurementError(
                         f"outcome {j}: {side} operator fails is_psd"
                     )
-        products = [kron(a, b) for a, b in self.outcomes]
-        for i, j in itertools.combinations(range(len(products)), 2):
-            if proportional(products[i], products[j]) is not None:
+        rays = [ray_key(v) for v in self.product_vectors]
+        for i, j in itertools.combinations(range(len(rays)), 2):
+            if rays[i] == rays[j]:
                 raise MeasurementError(
                     f"outcomes {i + 1} and {j + 1} coincide up to positive scaling"
                 )
+
+    @functools.cached_property
+    def product_vectors(self) -> tuple[RealVector, ...]:
+        """`vectorize(kron(A_j, B_j))` for each outcome, in outcome order."""
+        return tuple(vectorize(kron(a, b)) for a, b in self.outcomes)
+
+    @functools.cached_property
+    def _side_vectors(self) -> dict[str, tuple[RealVector, ...]]:
+        return {
+            "A": tuple(vectorize(a) for a, _ in self.outcomes),
+            "B": tuple(vectorize(b) for _, b in self.outcomes),
+        }
 
     @property
     def n_outcomes(self) -> int:
@@ -106,6 +119,10 @@ class SeparableMeasurement:
     def op(self, side: str, j: int) -> HermitianOp:
         pair = self.outcomes[j - 1]
         return pair[0] if side == "A" else pair[1]
+
+    def vec(self, side: str, j: int) -> RealVector:
+        """`vectorize(self.op(side, j))`."""
+        return self._side_vectors[side][j - 1]
 
     def side_dim(self, side: str) -> int:
         return self.dA if side == "A" else self.dB
@@ -180,7 +197,7 @@ def validate_measurement(m: SeparableMeasurement) -> list[Fraction]:
     """
     n = m.n_outcomes
     target = vectorize(HermitianOp.identity(m.dA * m.dB))
-    vecs = [vectorize(kron(a, b)) for a, b in m.outcomes]
+    vecs = m.product_vectors
     rows = []
     rhs = []
     for comp in range(len(target)):
@@ -207,7 +224,7 @@ def _side_system(tree: Tree, m: SeparableMeasurement, side: str):
         else set(root_label)
     )
     index = {r: i for i, r in enumerate(refs)}
-    vec_cache = {j: vectorize(m.op(side, j)) for j in {r.j for r in refs}}
+    vec = {r: m.vec(side, r.j) for r in refs}
     vl = d * d
     rows: list[list[Fraction]] = []
     rhs: list[Fraction] = []
@@ -215,16 +232,16 @@ def _side_system(tree: Tree, m: SeparableMeasurement, side: str):
         for comp in range(vl):
             row = [Fraction(0)] * len(refs)
             for r in c.lhs:
-                row[index[r]] += vec_cache[r.j][comp]
+                row[index[r]] += vec[r][comp]
             for r in c.rhs:
-                row[index[r]] -= vec_cache[r.j][comp]
+                row[index[r]] -= vec[r][comp]
             rows.append(row)
             rhs.append(Fraction(0))
     ident = vectorize(HermitianOp.identity(d))
     for comp in range(vl):
         row = [Fraction(0)] * len(refs)
         for r in root_label:
-            row[index[r]] += vec_cache[r.j][comp]
+            row[index[r]] += vec[r][comp]
         rows.append(row)
         rhs.append(ident[comp])
     return rows, rhs, refs
@@ -361,39 +378,68 @@ def _complete_maps(tree, a_map, b_map):
     return q, p
 
 
-def _side_value(
+def _coords_sum(terms, size: int) -> RealVector:
+    """The exact sum of c * v over (coefficient c, coordinate vector v)."""
+    total = [Fraction(0)] * size
+    for c, vec in terms:
+        for k, v in enumerate(vec):
+            if v:
+                total[k] += c * v
+    return tuple(total)
+
+
+def _side_coords(
     m: SeparableMeasurement,
     side: str,
     terms,
     coeffs: dict[LeafRef, Fraction],
-) -> HermitianOp:
-    return op_linear_combine(
-        [(coeffs[r], m.op(side, r.j)) for r in sorted(terms)],
-        dim=m.side_dim(side),
-    )
+) -> RealVector:
+    """`vectorize` of sum coeffs[r] * m.op(side, r.j) over r in terms.
+
+    Raises ProtocolVerificationError when a term has no coefficient or a
+    negative one."""
+    for r in terms:
+        if r not in coeffs:
+            raise ProtocolVerificationError(f"{r} has no {side} coefficient")
+        if coeffs[r] < 0:
+            raise ProtocolVerificationError(f"{r} has a negative {side} coefficient")
+    return _coords_sum(((coeffs[r], m.vec(side, r.j)) for r in terms), m.side_dim(side) ** 2)
 
 
 def verify_protocol_exact(protocol: LOCCProtocol) -> None:
     """Exact re-check of every structural protocol property.
 
-    Raises ProtocolVerificationError if the sum rule fails at any node, any
-    sibling branch disagrees, a root is not the identity, a coefficient is
-    not strictly positive, or the leaves do not resolve the identity.
+    Raises ProtocolVerificationError if a reference the tree uses has no
+    coefficient or a negative one, a leaf weight is not strictly positive,
+    the sum rule fails at any node (a sibling branch disagrees), a ledger
+    constraint fails, a root is not the identity, or the leaves do not
+    resolve the identity.
+
+    Every operator sum is compared as its exact coordinate vector, summed
+    from the measurement's cached vectors: `vectorize` is linear and
+    injective, so equal coordinates are equal operators.  No check reads
+    the LP rows the coefficients were solved from.
     """
     m = protocol.measurement
     tree = protocol.tree
     validate_tree(tree)
     coeffs = {"A": protocol.q, "B": protocol.p}
     for r in leaf_refs(tree):
+        for side, table in coeffs.items():
+            if r not in table:
+                raise ProtocolVerificationError(f"{r} has no {side} coefficient")
         if protocol.q[r] <= 0 or protocol.p[r] <= 0:
             raise ProtocolVerificationError(f"leaf {r} has a nonpositive weight")
+
+    def value(side: str, terms) -> RealVector:
+        return _side_coords(m, side, terms, coeffs[side])
 
     def walk(node: TreeNode) -> None:
         if node.leaf is not None:
             return
-        target = _side_value(m, node.side, node.terms, coeffs[node.side])
+        target = value(node.side, node.terms)
         for child in node.children:
-            if _side_value(m, node.side, branch_terms(child), coeffs[node.side]) != target:
+            if value(node.side, branch_terms(child)) != target:
                 raise ProtocolVerificationError(
                     f"branch sum mismatch at a {node.side} node"
                 )
@@ -401,23 +447,18 @@ def verify_protocol_exact(protocol: LOCCProtocol) -> None:
 
     walk(tree.root)
     for c in tree.ledger:
-        lhs = _side_value(m, c.side, c.lhs, coeffs[c.side])
-        rhs = _side_value(m, c.side, c.rhs, coeffs[c.side])
-        if lhs != rhs:
+        if value(c.side, c.lhs) != value(c.side, c.rhs):
             raise ProtocolVerificationError("ledger constraint violated")
     root, second = tree.root, tree.root.children[0]
     for node in (root, second):
-        value = _side_value(m, node.side, node.terms, coeffs[node.side])
-        if value != HermitianOp.identity(m.side_dim(node.side)):
+        identity = vectorize(HermitianOp.identity(m.side_dim(node.side)))
+        if value(node.side, node.terms) != identity:
             raise ProtocolVerificationError(f"{node.side} root is not the identity")
-    total = op_linear_combine(
-        [
-            (protocol.q[r] * protocol.p[r], kron(m.op("A", r.j), m.op("B", r.j)))
-            for r in sorted(leaf_refs(tree))
-        ],
-        dim=m.dA * m.dB,
+    weighted = (
+        (protocol.q[r] * protocol.p[r], m.product_vectors[r.j - 1]) for r in leaf_refs(tree)
     )
-    if total != HermitianOp.identity(m.dA * m.dB):
+    total = _coords_sum(weighted, (m.dA * m.dB) ** 2)
+    if total != vectorize(HermitianOp.identity(m.dA * m.dB)):
         raise ProtocolVerificationError("leaf weights do not resolve the identity")
 
 

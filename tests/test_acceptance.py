@@ -33,6 +33,7 @@ from loccsynth.fixtures import (
 )
 from loccsynth.kraus_realization import realize, verify_instrument
 from loccsynth.protocol_tree import (
+    LeafRef,
     collapse_congruent,
     covered_outcomes,
     has_congruent_siblings,
@@ -47,7 +48,6 @@ from loccsynth.synthesis_engine import (
     SearchConfig,
     SeparableMeasurement,
     _root_key,
-    _side_value,
     synthesize,
     verify_protocol_exact,
 )
@@ -62,6 +62,18 @@ def _passed(line: str) -> None:
 
 def _synth(m, rounds, **kw):
     return synthesize(m, SearchConfig(max_rounds=rounds, **kw))
+
+
+def _side_value(
+    m: SeparableMeasurement,
+    side: str,
+    terms,
+    coeffs: dict[LeafRef, Fraction],
+) -> HermitianOp:
+    return op_linear_combine(
+        [(coeffs[r], m.op(side, r.j)) for r in sorted(terms)],
+        dim=m.side_dim(side),
+    )
 
 
 def _assert_identity_roots(protocol: LOCCProtocol) -> None:

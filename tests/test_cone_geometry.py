@@ -200,6 +200,110 @@ def test_lp_cleanup_pivot_on_negative_entry(monkeypatch):
     assert got == oracle_lp._solve(problem)
 
 
+def _with_empty_rows(problem, rng):
+    """The LP with rows 0 = 0 inserted first, last and at random places."""
+    rows, rhs = list(problem.rows), list(problem.rhs)
+    empty = (Fraction(0),) * problem.n_vars
+    for _ in range(rng.randint(0, 3)):
+        at = rng.randint(0, len(rows))
+        rows.insert(at, empty)
+        rhs.insert(at, Fraction(0))
+    rows, rhs = [empty, *rows, empty], [Fraction(0), *rhs, Fraction(0)]
+    return LPProblem(tuple(rows), tuple(rhs), problem.n_vars, problem.objective)
+
+
+def _nonempty_rows(problem):
+    return [i for i, row in enumerate(problem.rows) if problem.rhs[i] or any(row)]
+
+
+def _logged(solve, runs):
+    """`solve`, recording each LP it is given and the pivots made on it."""
+
+    def logged(problem):
+        runs.append((problem, []))
+        return solve(problem)
+
+    return logged
+
+
+def _record_run_pivots(monkeypatch, tableau_class, runs):
+    pivot = tableau_class._pivot
+
+    def recording(tableau, row, col):
+        runs[-1][1].append((row, col))
+        pivot(tableau, row, col)
+
+    monkeypatch.setattr(tableau_class, "_pivot", recording)
+
+
+def _oracle_answers(p, runs, monkeypatch):
+    """What `_lp_answers` gives when every LP, rows 0 = 0 included, goes to
+    the Fraction oracle as it is."""
+    oracle = _logged(oracle_lp._solve, runs)
+    status, point, _ = oracle(LPProblem(p.rows, p.rhs, p.n_vars))
+    feasible = (False, None) if status == "infeasible" else (True, point)
+    maximum = oracle(p)
+    with monkeypatch.context() as patch:
+        patch.setattr(cone_geometry, "lp_maximize", oracle)
+        strict = strict_positive_solution(p.rows, p.rhs, p.n_vars)
+    return feasible, maximum, strict
+
+
+def test_lp_rows_reading_zero_equals_zero_change_no_pivot(monkeypatch):
+    # Every LP entry point drops rows 0 = 0 before the kernel runs, and the
+    # kernel then makes the oracle's pivots on the full LP: the same
+    # entering columns, with each row and each artificial column mapped
+    # back to the row it came from.  So every answer is the oracle's.
+    rng = random.Random(808)
+    runs, oracle_runs = [], []
+    _record_run_pivots(monkeypatch, cone_geometry._Tableau, runs)
+    _record_run_pivots(monkeypatch, oracle_lp._Tableau, oracle_runs)
+    monkeypatch.setattr(cone_geometry, "_solve", _logged(cone_geometry._solve, runs))
+    problems = [_with_empty_rows(_random_lp(rng)[0], rng) for _ in range(200)]
+    # Only empty rows: the kernel runs on an LP with no rows at all.
+    empty = LPProblem(frac_rows([[0, 0]] * 2), (Fraction(0),) * 2, 2, frac_rows([[1, -1]])[0])
+    problems.append(empty)
+    seen = Counter()
+    for problem in problems:
+        got = _lp_answers(problem)
+        assert got == _oracle_answers(problem, oracle_runs, monkeypatch), problem
+        assert len(runs) == len(oracle_runs) == 3
+        for (small, pivots), (full, want) in zip(runs, oracle_runs):
+            kept = _nonempty_rows(full)
+            assert small.rows == tuple(full.rows[i] for i in kept)
+            assert small.rhs == tuple(full.rhs[i] for i in kept)
+            n = full.n_vars
+            mapped = [(kept[r], c if c < n else n + kept[c - n]) for r, c in pivots]
+            assert mapped == want, problem
+            seen["dropped"] += len(full.rows) - len(kept)
+            seen["pivots"] += len(want)
+        # Swapping the kernel for the oracle, as the kernel test does, must
+        # hand the oracle the same rows, so its pivots match unmapped.
+        oracle_runs.clear()
+        with monkeypatch.context() as patch:
+            patch.setattr(cone_geometry, "_solve", _logged(oracle_lp._solve, oracle_runs))
+            assert _lp_answers(problem) == got
+        assert [pivots for _, pivots in oracle_runs] == [pivots for _, pivots in runs]
+        runs.clear()
+        oracle_runs.clear()
+        seen[got[1][0]] += 1
+        seen["strict_found"] += got[2] is not None
+    for kind in ("infeasible", "unbounded", "optimal", "strict_found"):
+        assert seen[kind] >= 10, (kind, seen)
+    assert seen["pivots"] > 1000 and seen["dropped"] > 3 * len(problems), seen
+
+
+@pytest.mark.parametrize("b", [Fraction(2), Fraction(-1, 3)])
+def test_lp_keeps_a_zero_row_with_nonzero_rhs(b):
+    # 0 = b with b != 0 has no solution; dropping it would report one.
+    rows = frac_rows([[1, 1], [0, 0]])
+    problem = LPProblem(rows, (Fraction(1), b), 2, frac_rows([[1, 0]])[0])
+    assert lp_feasible(problem) == (False, None)
+    assert lp_maximize(problem) == ("infeasible", None, None)
+    assert strict_positive_solution(problem.rows, problem.rhs, 2) is None
+    assert oracle_lp._solve(problem)[0] == "infeasible"
+
+
 # --- cones_intersect --------------------------------------------------------
 
 ZERO = proj((1, 0))

@@ -14,7 +14,9 @@ from loccsynth.fixtures import (
     product_basis,
     single_identity,
 )
+from loccsynth.exact_algebra import HermitianOp, vectorize
 from loccsynth.kraus_realization import (
+    _coords_to_float,
     psd_sqrt,
     realize,
     support_inverse,
@@ -93,6 +95,27 @@ def test_support_inverse_pseudoinverse_identity():
         x = b.conj().T @ b
         xi = support_inverse(x)
         assert np.max(np.abs(xi @ x @ xi - xi)) < 1e-9 * max(1.0, np.abs(xi).max() ** 2)
+
+
+# --- node values from coordinates --------------------------------------------
+
+
+def test_coords_to_float_matches_to_float():
+    # Realization reads node values as exact coordinate sums; the floats
+    # must be the ones to_float gives on the same operator, bit for bit.
+    rng = random.Random(12)
+    for d in (1, 2, 3, 4):
+        for _ in range(20):
+            rows = [[None] * d for _ in range(d)]
+            for i in range(d):
+                rows[i][i] = (Fraction(rng.randint(-9, 9), rng.randint(1, 7)), 0)
+                for j in range(i + 1, d):
+                    re = Fraction(rng.randint(-9, 9), rng.randint(1, 7))
+                    im = Fraction(rng.randint(-9, 9), rng.randint(1, 7))
+                    rows[i][j], rows[j][i] = (re, im), (re, -im)
+            op = HermitianOp.from_rows(rows)
+            got = _coords_to_float(vectorize(op), d)
+            assert got.tobytes() == to_float(op).tobytes()
 
 
 # --- realize -----------------------------------------------------------------

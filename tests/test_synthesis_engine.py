@@ -9,7 +9,7 @@ import pytest
 from helpers import permute_outcomes, proj, random_rescale
 
 from loccsynth import cone_geometry, synthesis_engine
-from loccsynth.exact_algebra import HermitianOp
+from loccsynth.exact_algebra import HermitianOp, kron, vectorize
 from loccsynth.fixtures import (
     BUILTIN,
     bennett9,
@@ -19,7 +19,13 @@ from loccsynth.fixtures import (
     product_basis,
     single_identity,
 )
-from loccsynth.protocol_tree import merge_and_extend, seed_trees, tree_to_text
+from loccsynth.protocol_tree import (
+    LeafRef,
+    OpConstraint,
+    merge_and_extend,
+    seed_trees,
+    tree_to_text,
+)
 from loccsynth.synthesis_engine import (
     INCONCLUSIVE_CAPPED,
     NO_LOCC_ANY_ROUNDS,
@@ -135,6 +141,92 @@ def test_strict_solution_failing_verification_raises(monkeypatch):
     monkeypatch.setattr(synthesis_engine, "verify_protocol_exact", reject)
     with pytest.raises(ProtocolVerificationError):
         synthesize(product_basis(2, 2), SearchConfig(max_rounds=4))
+
+
+# --- verify_protocol_exact: one perturbed protocol per rejection -------------
+
+
+@pytest.fixture(scope="module")
+def example5_protocol():
+    out = synthesize(example5(), SearchConfig(max_rounds=8))
+    verify_protocol_exact(out)
+    return out
+
+
+def _rescaled(table, ref, factor):
+    return {r: v * factor if r == ref else v for r, v in table.items()}
+
+
+def test_verify_rejects_a_nonpositive_leaf_weight(example5_protocol):
+    out = example5_protocol
+    bad = replace(out, q=_rescaled(out.q, LeafRef(1, 1), 0))
+    with pytest.raises(ProtocolVerificationError, match="nonpositive weight"):
+        verify_protocol_exact(bad)
+
+
+def test_verify_rejects_a_branch_sum_mismatch(example5_protocol):
+    # 6.1 sits in the A node 4.1+6.1 and in one of its branches, not the other.
+    out = example5_protocol
+    bad = replace(out, q=_rescaled(out.q, LeafRef(6, 1), 2))
+    with pytest.raises(ProtocolVerificationError, match="branch sum mismatch at a A node"):
+        verify_protocol_exact(bad)
+
+
+def test_verify_rejects_a_violated_ledger_constraint(example5_protocol):
+    # A_1 and A_6 differ, so the added equation q[1.1] A_1 = q[6.1] A_6 fails.
+    out = example5_protocol
+    false = OpConstraint.make("A", {LeafRef(1, 1)}, {LeafRef(6, 1)})
+    bad = replace(out, tree=replace(out.tree, ledger=out.tree.ledger + (false,)))
+    with pytest.raises(ProtocolVerificationError, match="ledger constraint violated"):
+        verify_protocol_exact(bad)
+
+
+def test_verify_rejects_a_root_that_is_not_the_identity(example5_protocol):
+    # Doubling every q keeps each sum rule and ledger equation, and doubles
+    # the A root.
+    out = example5_protocol
+    bad = replace(out, q={r: 2 * v for r, v in out.q.items()})
+    with pytest.raises(ProtocolVerificationError, match="A root is not the identity"):
+        verify_protocol_exact(bad)
+
+
+def test_verify_rejects_a_missing_coefficient(example5_protocol):
+    out = example5_protocol
+    q = {r: v for r, v in out.q.items() if r != LeafRef(1, 1)}
+    with pytest.raises(ProtocolVerificationError, match="no A coefficient"):
+        verify_protocol_exact(replace(out, q=q))
+
+
+def test_verify_rejects_a_negative_coefficient_only_reference():
+    # example4's protocol keeps 1.1 and 2.1 as B coefficients, not leaves.
+    out = synthesize(example4(), SearchConfig(max_rounds=8))
+    assert LeafRef(1, 1) in out.p and LeafRef(1, 1) not in out.q
+    bad = replace(out, p=_rescaled(out.p, LeafRef(1, 1), -1))
+    with pytest.raises(ProtocolVerificationError, match="negative B coefficient"):
+        verify_protocol_exact(bad)
+
+
+# --- coordinate vectors, built once per measurement ---------------------------
+
+
+@pytest.mark.parametrize("name", sorted(BUILTIN))
+def test_measurement_vectors_are_built_once(name, monkeypatch):
+    m = BUILTIN[name]()
+    for j, (a, b) in enumerate(m.outcomes, start=1):
+        assert m.product_vectors[j - 1] == vectorize(kron(a, b))
+        assert m.vec("A", j) == vectorize(a) and m.vec("B", j) == vectorize(b)
+    calls = []
+    build = synthesis_engine.kron
+
+    def counting(a, b):
+        calls.append((a, b))
+        return build(a, b)
+
+    monkeypatch.setattr(synthesis_engine, "kron", counting)
+    out = synthesize(m, SearchConfig(max_rounds=10, exhaustive=True))
+    if isinstance(out, LOCCProtocol):
+        verify_protocol_exact(out)
+    assert calls == []
 
 
 # --- synthesize ------------------------------------------------------------------
