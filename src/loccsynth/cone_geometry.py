@@ -4,13 +4,16 @@ The decision kernel is a two-phase simplex with Bland's anti-cycling rule on
 an integer tableau over one common denominator, with Bareiss updates: the
 same Bland pivots a Fraction tableau makes.  `lp_feasible` and
 `lp_maximize` hand it each LP without its 0 = 0 rows, which changes no
-pivot.  Beside it sits the one strict-positivity LP (a solution with every
-coordinate positive) that cone tests, measurement validation and tree
-solving share.  On top sit the cone queries the synthesis engine consumes:
-pairwise/mutual nonzero intersection of cones of positive operators,
-proportionality, and enumeration of maximal mutually intersecting families.
-A query made only of rays (one-generator cones) is decided by
-`proportional` and solves no LP.
+pivot.  Beside it sits the strict-positivity LP (a solution with every
+coordinate positive) that measurement validation and tree solving share.
+On top sit the cone queries the synthesis engine consumes: pairwise/mutual
+nonzero intersection of cones of positive operators, proportionality, and
+enumeration of maximal mutually intersecting families.
+
+A cone query is one homogeneous integer LP over the cones' integer
+generator rays (`Cone.rays`), solved by phase 1 alone: plainly with a
+trace-one row, strictly as x = 1 + y (`_intersection_problem`).  A query
+made only of rays (one-generator cones) compares the rays and solves no LP.
 
 Whether cones intersect depends only on the cones as sets of operators, so
 `IntersectionMemo` answers a yes/no query once per key: the set of cones,
@@ -42,6 +45,8 @@ class LPProblem:
     """Equality-form LP: find x >= 0 with rows . x = rhs.
 
     `objective`, when present, is a row to maximize over the feasible set.
+    Coefficients may be `Fraction`s or `int`s: the kernel reads only their
+    `numerator` and `denominator`.
     """
 
     rows: tuple[tuple[Fraction, ...], ...]
@@ -262,8 +267,8 @@ def ray_key(coords: RealVector) -> tuple[int, ...]:
 class Cone:
     """Cone of nonnegative combinations of nonzero PSD generators.
 
-    Each generator's coordinate vector (`vectors`) is computed once per
-    Cone; the intersection LP and `key` read it.
+    Each generator's integer ray (`rays`) is computed once per Cone; the
+    intersection LP, ray-only queries and `key` read it.
     """
 
     generators: tuple[HermitianOp, ...]
@@ -285,9 +290,11 @@ class Cone:
         return self.generators[0].dim
 
     @functools.cached_property
-    def vectors(self) -> tuple[RealVector, ...]:
-        """`vectorize(g)` for each generator g, in generator order."""
-        return tuple(vectorize(g) for g in self.generators)
+    def rays(self) -> tuple[tuple[int, ...], ...]:
+        """`ray_key(vectorize(g))` for each generator g, in generator order:
+        the positive multiple of g's coordinate vector whose entries are
+        coprime integers."""
+        return tuple(ray_key(vectorize(g)) for g in self.generators)
 
     @functools.cached_property
     def key(self) -> frozenset[tuple[int, ...]]:
@@ -295,11 +302,10 @@ class Cone:
         positive rescaling, order or repetition of generators, which are
         the same set of operators.
 
-        A ray is keyed by `ray_key` of its coordinate vector.  Two
-        generators get one key exactly when their trace-one multiples
+        Two generators get one ray exactly when their trace-one multiples
         g / tr g are equal.
         """
-        return frozenset(ray_key(v) for v in self.vectors)
+        return frozenset(self.rays)
 
 
 @dataclass(frozen=True)
@@ -310,38 +316,42 @@ class IntersectionWitness:
     common: HermitianOp
 
 
-def _intersection_problem(cones: Sequence[Cone]) -> tuple[LPProblem, list[int]]:
-    """Encode 'all cones share a trace-one common point' as an equality LP.
+def _intersection_problem(
+    cones: Sequence[Cone], strict: bool
+) -> tuple[LPProblem, list[int]]:
+    """Encode 'all cones share a common point' as an integer equality LP.
 
-    Unknowns are the generator coefficients of every cone.  Cone 1's
-    combination is pinned to trace 1, which is exactly nontriviality: a
-    nonzero nonnegative combination of nonzero PSD operators has strictly
-    positive trace.
+    Unknowns are the coefficients x of every cone's integer rays.  The
+    rows say cone 0's combination minus cone i's combination is zero, one
+    per coordinate; a coordinate none of the two cones uses gives no row.
+    Call these rows A.  Plainly, one more row pins the trace of cone 0's
+    combination to 1, which is exactly nontriviality: a nonzero
+    nonnegative combination of nonzero PSD operators has positive trace.
+    Strictly, A x = 0 has a solution x > 0 exactly when it has one with
+    x >= 1, since the system is homogeneous; so the LP is A y = -A.1 over
+    y = x - 1 >= 0, and needs no normalisation row.
     """
-    dim = cones[0].dim
     offsets = []
     n = 0
     for cone in cones:
         offsets.append(n)
-        n += len(cone.generators)
-    vec_len = dim * dim
-    rows: list[list[Fraction]] = []
-    rhs: list[Fraction] = []
+        n += len(cone.rays)
+    first = cones[0].rays
+    rows: list[tuple[int, ...]] = []
     for ci in range(1, len(cones)):
-        for comp in range(vec_len):
-            row = [Fraction(0)] * n
-            for gi, v in enumerate(cones[0].vectors):
-                row[offsets[0] + gi] = v[comp]
-            for gi, v in enumerate(cones[ci].vectors):
-                row[offsets[ci] + gi] -= v[comp]
-            rows.append(row)
-            rhs.append(Fraction(0))
-    row = [Fraction(0)] * n
-    for gi, g in enumerate(cones[0].generators):
-        row[offsets[0] + gi] = g.trace()
-    rows.append(row)
-    rhs.append(Fraction(1))
-    return LPProblem(tuple(tuple(r) for r in rows), tuple(rhs), n), offsets
+        rays = cones[ci].rays
+        gap = (0,) * (offsets[ci] - len(first))
+        tail = (0,) * (n - offsets[ci] - len(rays))
+        for left, right in zip(zip(*first), zip(*rays)):
+            if any(left) or any(right):
+                rows.append((*left, *gap, *(-v for v in right), *tail))
+    if strict:
+        rhs = tuple(-sum(row) for row in rows)
+    else:
+        dim = cones[0].dim
+        rows.append(tuple(sum(r[:dim]) for r in first) + (0,) * (n - len(first)))
+        rhs = (0,) * (len(rows) - 1) + (1,)
+    return LPProblem(tuple(rows), rhs, n), offsets
 
 
 def cones_intersect(
@@ -353,7 +363,11 @@ def cones_intersect(
     every cone with a strictly positive coefficient; this is the
     admissibility test the synthesis engine applies before merging, since a
     protocol's leaf weights are strictly positive.  Rays need no LP: both
-    questions reduce to positive proportionality with the first ray.
+    questions reduce to equal integer rays.  Any other query solves one
+    phase-1 LP from `_intersection_problem`.  The witness's common point
+    has trace 1.  A plain witness is the point the LP over the generators'
+    own coordinate vectors finds; a strict one comes from the x = 1 + y
+    solve and is another valid point.
     """
     if len(cones) < 2:
         raise ValueError("need at least two cones")
@@ -361,25 +375,32 @@ def cones_intersect(
     for cone in cones:
         if cone.dim != dim:
             raise ValueError("cones must share an ambient dimension")
-    if all(len(cone.generators) == 1 for cone in cones):
-        rays = [cone.generators[0] for cone in cones]
-        if any(proportional(g, rays[0]) is None for g in rays[1:]):
+    if all(len(cone.rays) == 1 for cone in cones):
+        if any(cone.rays[0] != cones[0].rays[0] for cone in cones[1:]):
             return None
         # The LP's trace-one common point, g_1 / tr g_1, is unique here.
-        coefficients = tuple((1 / g.trace(),) for g in rays)
-        common = op_linear_combine([(coefficients[0][0], rays[0])], dim=dim)
+        gens = [cone.generators[0] for cone in cones]
+        coefficients = tuple((1 / g.trace(),) for g in gens)
+        common = op_linear_combine([(coefficients[0][0], gens[0])], dim=dim)
         return IntersectionWitness(coefficients, common)
-    problem, offsets = _intersection_problem(cones)
-    if strict:
-        point = strict_positive_solution(problem.rows, problem.rhs, problem.n_vars)
-    else:
-        _, point = lp_feasible(problem)
-    if point is None:
+    problem, offsets = _intersection_problem(cones, strict)
+    feasible, point = lp_feasible(problem)
+    if not feasible:
         return None
+    if strict:
+        point = [1 + v for v in point]
+    # Ray r of generator g is tr(r) / tr(g) times g's coordinate vector, and
+    # cone 0's combination has trace `total`.
+    total = sum(x * sum(r[:dim]) for x, r in zip(point, cones[0].rays))
     coefficient_lists = []
     for ci, cone in enumerate(cones):
         base = offsets[ci]
-        coefficient_lists.append(tuple(point[base + gi] for gi in range(len(cone.generators))))
+        coefficient_lists.append(
+            tuple(
+                point[base + gi] * sum(r[:dim]) / (g.trace() * total)
+                for gi, (r, g) in enumerate(zip(cone.rays, cone.generators))
+            )
+        )
     common = op_linear_combine(
         list(zip(coefficient_lists[0], cones[0].generators)), dim=dim
     )

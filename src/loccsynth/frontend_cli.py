@@ -361,8 +361,22 @@ def run(
     return exit_code
 
 
+class _FlagError(Exception):
+    pass
+
+
+class _ArgumentParser(argparse.ArgumentParser):
+    """An argparse parser whose errors (a bad flag value, an unknown flag,
+    a missing input) are raised, so that `main` can report them as input
+    errors with exit 1: argparse's own exit code 2 means "no LOCC
+    protocol" here."""
+
+    def error(self, message):
+        raise _FlagError(message)
+
+
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="loccsynth",
         description=(
             "Decide whether a separable quantum measurement admits an LOCC "
@@ -393,7 +407,11 @@ def main(argv=None) -> int:
         default=1e-10,
         help="relative eigenvalue cutoff for support decisions (default 1e-10)",
     )
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except _FlagError as exc:
+        print(f"input error: {exc}")
+        return 1
     return run(
         args.input,
         max_rounds=args.max_rounds,

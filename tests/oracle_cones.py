@@ -1,11 +1,16 @@
-"""Independent brute-force oracle for nonzero cone intersection.
+"""Reference answers for cone-intersection queries.
 
-Decides whether two cones of nonzero PSD operators share a nonzero point by
+`cones_intersect_oracle` is an independent brute-force oracle: it decides
+whether two cones of nonzero PSD operators share a nonzero point by
 enumerating circuits (minimal linearly dependent column subsets) of the
 stacked coordinate matrix [vec(G_1).. vec(G_m) | -vec(H_1).. -vec(H_n)]:
 a nonzero nonnegative kernel vector exists exactly when some circuit's
 one-dimensional kernel is sign-constant with full support.  Pure exact
 Gaussian elimination; no simplex anywhere.
+
+`intersection_reference` is the LP encoding `cones_intersect` replaced:
+`Fraction` coordinate rows of the generators themselves, a trace row, and
+for strict queries the max-min-slack `strict_positive_solution`.
 """
 
 from __future__ import annotations
@@ -13,6 +18,7 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
+from loccsynth.cone_geometry import LPProblem, lp_feasible, strict_positive_solution
 from loccsynth.exact_algebra import HermitianOp, vectorize
 
 
@@ -70,3 +76,42 @@ def cones_intersect_oracle(
             if all(x > 0 for x in v) or all(x < 0 for x in v):
                 return True
     return False
+
+
+def intersection_reference(cones, strict=False):
+    """Per-cone generator coefficients of a common point of trace 1, or None.
+
+    Unknowns are the coefficients of every cone's generators.  One row per
+    coordinate and cone i >= 1 says cone 0's combination minus cone i's is
+    zero, and a last row pins the trace of cone 0's combination to 1.
+    Strictly, `strict_positive_solution` asks for a solution with every
+    coefficient positive; plainly, `lp_feasible` for any nonnegative one.
+    """
+    offsets, n = [], 0
+    for cone in cones:
+        offsets.append(n)
+        n += len(cone.generators)
+    vectors = [[vectorize(g) for g in cone.generators] for cone in cones]
+    rows, rhs = [], []
+    for ci in range(1, len(cones)):
+        for comp in range(len(vectors[0][0])):
+            row = [Fraction(0)] * n
+            for gi, v in enumerate(vectors[0]):
+                row[gi] = v[comp]
+            for gi, v in enumerate(vectors[ci]):
+                row[offsets[ci] + gi] -= v[comp]
+            rows.append(tuple(row))
+            rhs.append(Fraction(0))
+    first = cones[0].generators
+    rows.append(tuple(g.trace() for g in first) + (Fraction(0),) * (n - len(first)))
+    rhs.append(Fraction(1))
+    if strict:
+        point = strict_positive_solution(rows, rhs, n)
+    else:
+        _, point = lp_feasible(LPProblem(tuple(rows), tuple(rhs), n))
+    if point is None:
+        return None
+    return tuple(
+        tuple(point[offsets[ci] + gi] for gi in range(len(cone.generators)))
+        for ci, cone in enumerate(cones)
+    )

@@ -9,7 +9,7 @@ import pytest
 
 import oracle_lp
 from helpers import proj
-from oracle_cones import cones_intersect_oracle
+from oracle_cones import cones_intersect_oracle, intersection_reference
 
 from loccsynth import cone_geometry
 from loccsynth.cone_geometry import (
@@ -24,7 +24,7 @@ from loccsynth.cone_geometry import (
     proportional,
     strict_positive_solution,
 )
-from loccsynth.exact_algebra import HermitianOp, op_linear_combine, rank_one
+from loccsynth.exact_algebra import ExactComplex, HermitianOp, op_linear_combine, rank_one
 
 
 def frac_rows(rows):
@@ -378,13 +378,123 @@ def test_strict_demands_every_generator():
     assert w is not None
 
 
+# --- the integer cone LP -------------------------------------------------------
+
+
+def _random_psd(rng, d):
+    """A rank-one or rank-two PSD operator with small Gaussian-integer
+    amplitudes and a rational scale."""
+    op = None
+    for _ in range(rng.randint(1, 2)):
+        amps = [ExactComplex.of(rng.randint(-2, 2), rng.choice((0, 0, 1, -1))) for _ in range(d)]
+        if all(a.is_zero() for a in amps):
+            amps[0] = ExactComplex.of(1)
+        term = rank_one(amps, Fraction(rng.randint(1, 4), rng.randint(1, 4)))
+        op = term if op is None else op.add(term)
+    return op
+
+
+def _random_cone_query(rng):
+    """2-4 cones over a small pool (three operators and sums of them) or
+    through the previous cone's interior, with some generators rescaled or
+    duplicated."""
+    d = rng.choice((2, 3))
+    base = [_random_psd(rng, d) for _ in range(3)]
+    pool = base + [
+        op_linear_combine([(1, a), (rng.randint(1, 3), b)])
+        for a, b in itertools.combinations(base, 2)
+    ]
+    pool.append(op_linear_combine([(1, g) for g in base]))
+    cones = []
+    for _ in range(rng.choice((2, 2, 2, 3, 4))):
+        gens = rng.sample(pool, rng.randint(1, 3))
+        if cones and rng.random() < 0.25:
+            # A ray through the relative interior of the previous cone.
+            gens = [op_linear_combine([(1, g) for g in cones[-1].generators])]
+        if rng.random() < 0.3:
+            gens = [g.scale(Fraction(rng.randint(1, 5), rng.randint(1, 5))) for g in gens]
+        if rng.random() < 0.2:
+            gens.append(rng.choice(gens).scale(rng.randint(1, 3)))
+        cones.append(Cone(tuple(gens)))
+    return cones
+
+
+def test_integer_cone_lp_matches_the_reference_encoding():
+    # The homogeneous integer LP (strict: x = 1 + y) gives the reference
+    # encoding's answers.  Plain witnesses are the reference's exactly;
+    # strict ones differ but use every generator and meet at trace 1.
+    rng = random.Random(1907)
+    seen = Counter()
+    for _ in range(320):
+        cones = _random_cone_query(rng)
+        for strict in (False, True):
+            got = cones_intersect(cones, strict=strict)
+            want = intersection_reference(cones, strict=strict)
+            assert (got is None) == (want is None), (cones, strict)
+            seen[strict, got is not None] += 1
+            if got is None:
+                continue
+            assert got.common.trace() == 1
+            for cone, coefficients in zip(cones, got.coefficients):
+                rebuilt = op_linear_combine(list(zip(coefficients, cone.generators)))
+                assert rebuilt == got.common
+            if strict:
+                assert all(c > 0 for cs in got.coefficients for c in cs)
+            else:
+                assert got.coefficients == want
+        seen["many", len(cones) > 2] += 1
+    for kind in ((False, True), (False, False), (True, True), (True, False), ("many", True)):
+        assert seen[kind] >= 20, (kind, seen)
+
+
+def _spy_lp(monkeypatch):
+    problems = []
+    feasible = cone_geometry.lp_feasible
+
+    def spy(problem):
+        problems.append(problem)
+        return feasible(problem)
+
+    def no_maximize(problem):
+        raise AssertionError("a cone query called lp_maximize")
+
+    monkeypatch.setattr(cone_geometry, "lp_feasible", spy)
+    monkeypatch.setattr(cone_geometry, "lp_maximize", no_maximize)
+    return problems
+
+
+@pytest.mark.parametrize("strict", [False, True], ids=["plain", "strict"])
+def test_cone_query_solves_one_integer_phase_one_lp(strict, monkeypatch):
+    # One LP over the generators' integer rays: no objective, no slack or
+    # t column, no 0 = 0 row; strictly, no normalisation row either.
+    problems = _spy_lp(monkeypatch)
+    cones = [Cone((ZERO, ONE.scale(Fraction(2, 3)))), Cone((PLUS, MINUS, ZERO))]
+    before = lp_call_count()
+    w = cones_intersect(cones, strict=strict)
+    assert w is not None
+    assert lp_call_count() == before + 1
+    [problem] = problems
+    assert problem.objective is None
+    assert problem.n_vars == 5
+    entries = [v for row in problem.rows for v in row] + list(problem.rhs)
+    assert all(type(v) is int for v in entries)
+    assert all(any(row) for row in problem.rows)
+    # Diagonal, then (Re, Im) of the one off-diagonal entry: Im is unused.
+    assert len(problem.rows) == (3 if strict else 4)
+    if strict:
+        assert problem.rhs == tuple(-sum(row) for row in problem.rows)
+    else:
+        assert problem.rows[-1] == (1, 1, 0, 0, 0) and problem.rhs[-1] == 1
+
+
 # --- ray queries ------------------------------------------------------------
 
 
 @pytest.mark.parametrize("strict", [False, True], ids=["plain", "strict"])
-def test_ray_queries_solve_no_lp(strict):
-    # A query made only of rays is decided by proportionality, with the
-    # LP's unique trace-one witness and without running the simplex.
+def test_ray_queries_solve_no_lp(strict, monkeypatch):
+    # A query made only of rays is decided by comparing the cached integer
+    # rays, with the LP's unique trace-one witness, without running the
+    # simplex and without `proportional`.
     b = proj((3, 4))
     pool = [ZERO, ONE, PLUS, MINUS, b, b.scale(7), PLUS.scale(Fraction(2, 3))]
     queries = [((g, h), cones_intersect_oracle([g], [h])) for g in pool for h in pool]
@@ -393,6 +503,11 @@ def test_ray_queries_solve_no_lp(strict):
         ((ZERO, ZERO.scale(2), ONE), False),
     ]
     before = lp_call_count()
+
+    def no_proportional(x, y):
+        raise AssertionError("a ray query called proportional")
+
+    monkeypatch.setattr(cone_geometry, "proportional", no_proportional)
     for rays, hit in queries:
         w = cones_intersect([Cone((g,)) for g in rays], strict=strict)
         assert (w is not None) == hit

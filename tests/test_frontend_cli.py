@@ -262,6 +262,31 @@ def test_bad_flags_are_input_errors(flags, message, tmp_path, capsys):
     assert not rep.exists()
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        ([str(DATA / "product_basis_2x2.json"), "-L", "x"], "invalid int value: 'x'"),
+        ([str(DATA / "product_basis_2x2.json"), "--bogus"], "unrecognized arguments: --bogus"),
+        (["-L", "4"], "the following arguments are required: input"),
+    ],
+    ids=["bad-value", "unknown-flag", "missing-input"],
+)
+def test_unparsable_flags_exit_1(argv, message, capsys):
+    # argparse would exit 2, the code for "no LOCC protocol".
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out.startswith("input error: ") and message in captured.out
+    assert len(captured.out.splitlines()) == 1
+    assert captured.err == ""
+
+
+def test_help_exits_0(capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["-h"])
+    assert exit_info.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: loccsynth")
+
+
 @pytest.mark.parametrize("flag", ["--report", "--dot"])
 def test_unwritable_artifact_is_an_input_error(flag, monkeypatch, tmp_path, capsys):
     # The output path is checked before the search, which must not start.
