@@ -4,15 +4,16 @@ The decision kernel is a two-phase simplex with Bland's anti-cycling rule on
 an integer tableau over one common denominator, with Bareiss updates: the
 same Bland pivots a Fraction tableau makes.  `lp_feasible` and
 `lp_maximize` hand it each LP without its 0 = 0 rows, which changes no
-pivot.  Beside it sits the strict-positivity LP (a solution with every
-coordinate positive) that measurement validation and tree solving share.
+pivot.  Beside it sits the strict-positivity LP, `strict_positive_solution`
+(a solution with every coordinate positive): one homogeneous phase-1 LP
+that strict cone queries, measurement validation and tree solving share.
 On top sit the cone queries the synthesis engine consumes: pairwise/mutual
 nonzero intersection of cones of positive operators, proportionality, and
 enumeration of maximal mutually intersecting families.
 
-A cone query is one homogeneous integer LP over the cones' integer
-generator rays (`Cone.rays`), solved by phase 1 alone: plainly with a
-trace-one row, strictly as x = 1 + y (`_intersection_problem`).  A query
+A cone query is one integer LP over the cones' integer generator rays
+(`Cone.rays`), solved by phase 1 alone: plainly with a trace-one row,
+strictly by `strict_positive_solution` (`_intersection_problem`).  A query
 made only of rays (one-generator cones) compares the rays and solves no LP.
 
 Whether cones intersect depends only on the cones as sets of operators, so
@@ -212,7 +213,10 @@ def lp_feasible(p: LPProblem) -> tuple[bool, Optional[list[Fraction]]]:
 
 
 def lp_maximize(p: LPProblem) -> tuple[str, Optional[list[Fraction]], Optional[Fraction]]:
-    """Maximize p.objective over the feasible set (status/point/value)."""
+    """Maximize p.objective over the feasible set (status/point/value).
+
+    No solve in this package needs an objective; this is the only entry
+    point to phase 2."""
     if p.objective is None:
         raise ValueError("lp_maximize needs an objective row")
     return _solve(_without_empty_rows(p, p.objective))
@@ -221,35 +225,25 @@ def lp_maximize(p: LPProblem) -> tuple[str, Optional[list[Fraction]], Optional[F
 def strict_positive_solution(rows, rhs, n: int) -> Optional[list[Fraction]]:
     """A solution x of rows . x = rhs with every x_i > 0, or None.
 
-    Solved as max t subject to x_i - t - s_i = 0 and t + s = 1 over the
-    columns (x, t, one slack per x_i, the slack of t <= 1); x at the optimum
-    is returned when t* > 0.  Bland's rule makes the returned point depend
-    on this column and row order.
+    With one more unknown s, whose column -rhs is added only when
+    rhs != 0, the system is homogeneous: A x = b has a solution x > 0
+    exactly when [A | -b] (x, s) = 0 has one with (x, s) >= 1 (divide by
+    the smallest entry).  So this is one phase-1 LP,
+    [A | -b] y = -[A | -b] . 1 over y >= 0, and x is (1 + y_x) / (1 + y_s).
+    Bland's rule makes the returned point depend on the column and row
+    order.
     """
-    width = n + 1 + n + 1
-    t_col = n
-    full_rows = [tuple(row) + (Fraction(0),) * (width - n) for row in rows]
-    full_rhs = list(rhs)
-    for i in range(n):
-        row = [Fraction(0)] * width
-        row[i] = Fraction(1)
-        row[t_col] = Fraction(-1)
-        row[n + 1 + i] = Fraction(-1)
-        full_rows.append(tuple(row))
-        full_rhs.append(Fraction(0))
-    row = [Fraction(0)] * width
-    row[t_col] = Fraction(1)
-    row[width - 1] = Fraction(1)
-    full_rows.append(tuple(row))
-    full_rhs.append(Fraction(1))
-    objective = [Fraction(0)] * width
-    objective[t_col] = Fraction(1)
-    status, point, value = lp_maximize(
-        LPProblem(tuple(full_rows), tuple(full_rhs), width, tuple(objective))
-    )
-    if status != "optimal" or point is None or value is None or value <= 0:
+    homogeneous = not any(rhs)
+    if not homogeneous:
+        rows = [(*row, -b) for row, b in zip(rows, rhs)]
+    rows = tuple(tuple(row) for row in rows)
+    # A row 0 = 0 stays 0 = 0; `any` spares summing its Fraction zeros.
+    rhs = tuple(-sum(row) if any(row) else 0 for row in rows)
+    feasible, point = lp_feasible(LPProblem(rows, rhs, n if homogeneous else n + 1))
+    if not feasible:
         return None
-    return point[:n]
+    x = [1 + v for v in point]
+    return x if homogeneous else [v / x[n] for v in x[:n]]
 
 
 def ray_key(coords: RealVector) -> tuple[int, ...]:
@@ -327,9 +321,7 @@ def _intersection_problem(
     Call these rows A.  Plainly, one more row pins the trace of cone 0's
     combination to 1, which is exactly nontriviality: a nonzero
     nonnegative combination of nonzero PSD operators has positive trace.
-    Strictly, A x = 0 has a solution x > 0 exactly when it has one with
-    x >= 1, since the system is homogeneous; so the LP is A y = -A.1 over
-    y = x - 1 >= 0, and needs no normalisation row.
+    Strictly, the LP is A x = 0 alone, for `strict_positive_solution`.
     """
     offsets = []
     n = 0
@@ -345,12 +337,11 @@ def _intersection_problem(
         for left, right in zip(zip(*first), zip(*rays)):
             if any(left) or any(right):
                 rows.append((*left, *gap, *(-v for v in right), *tail))
-    if strict:
-        rhs = tuple(-sum(row) for row in rows)
-    else:
+    rhs = (0,) * len(rows)
+    if not strict:
         dim = cones[0].dim
         rows.append(tuple(sum(r[:dim]) for r in first) + (0,) * (n - len(first)))
-        rhs = (0,) * (len(rows) - 1) + (1,)
+        rhs += (1,)
     return LPProblem(tuple(rows), rhs, n), offsets
 
 
@@ -366,8 +357,8 @@ def cones_intersect(
     questions reduce to equal integer rays.  Any other query solves one
     phase-1 LP from `_intersection_problem`.  The witness's common point
     has trace 1.  A plain witness is the point the LP over the generators'
-    own coordinate vectors finds; a strict one comes from the x = 1 + y
-    solve and is another valid point.
+    own coordinate vectors finds; a strict one is the point
+    `strict_positive_solution` finds.
     """
     if len(cones) < 2:
         raise ValueError("need at least two cones")
@@ -384,11 +375,12 @@ def cones_intersect(
         common = op_linear_combine([(coefficients[0][0], gens[0])], dim=dim)
         return IntersectionWitness(coefficients, common)
     problem, offsets = _intersection_problem(cones, strict)
-    feasible, point = lp_feasible(problem)
-    if not feasible:
-        return None
     if strict:
-        point = [1 + v for v in point]
+        point = strict_positive_solution(problem.rows, problem.rhs, problem.n_vars)
+    else:
+        point = lp_feasible(problem)[1]
+    if point is None:
+        return None
     # Ray r of generator g is tr(r) / tr(g) times g's coordinate vector, and
     # cone 0's combination has trace `total`.
     total = sum(x * sum(r[:dim]) for x, r in zip(point, cones[0].rays))

@@ -192,8 +192,8 @@ SynthesisOutcome = Union[LOCCProtocol, NoLoccCertificate]
 def validate_measurement(m: SeparableMeasurement) -> list[Fraction]:
     """Strictly positive weights r with sum r_j A_j (x) B_j = identity.
 
-    Solved as an exact LP with a max-min-slack phase (maximize t subject to
-    r_j >= t, t <= 1); only t > 0 certifies the completeness condition.
+    Solved exactly by `strict_positive_solution`, one phase-1 LP; when it
+    finds none, NotASeparableMeasurement is raised.
     """
     n = m.n_outcomes
     target = vectorize(HermitianOp.identity(m.dA * m.dB))
@@ -313,10 +313,12 @@ def solve_tree(tree: Tree, m: SeparableMeasurement) -> Optional[LOCCProtocol]:
 
     The A and B systems are independent: ledger constraints are one-sided
     and the two root conditions split by party.  Strict positivity is tried
-    first; its solution satisfies every checked equation by construction, so
-    a failed check raises ProtocolVerificationError.  Failing that, a plain
-    nonnegative solution is accepted if pruning its zero-weight leaves
-    leaves a protocol with full coverage that passes verify_protocol_exact.
+    first, one `strict_positive_solution` LP per party; its solution
+    satisfies every checked equation by construction, so a failed check
+    raises ProtocolVerificationError.  Failing that, a plain nonnegative
+    solution (one `lp_feasible` per party) is accepted if pruning its
+    zero-weight leaves leaves a protocol with full coverage that passes
+    verify_protocol_exact.
     """
     systems = [_side_system(tree, m, side) for side in ("A", "B")]
     solutions = []

@@ -10,7 +10,7 @@ Gaussian elimination; no simplex anywhere.
 
 `intersection_reference` is the LP encoding `cones_intersect` replaced:
 `Fraction` coordinate rows of the generators themselves, a trace row, and
-for strict queries the max-min-slack `strict_positive_solution`.
+for strict queries the max-min-slack `oracle_lp.strict_positive_reference`.
 """
 
 from __future__ import annotations
@@ -18,7 +18,9 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
-from loccsynth.cone_geometry import LPProblem, lp_feasible, strict_positive_solution
+from oracle_lp import strict_positive_reference
+
+from loccsynth.cone_geometry import LPProblem, lp_feasible
 from loccsynth.exact_algebra import HermitianOp, vectorize
 
 
@@ -84,7 +86,7 @@ def intersection_reference(cones, strict=False):
     Unknowns are the coefficients of every cone's generators.  One row per
     coordinate and cone i >= 1 says cone 0's combination minus cone i's is
     zero, and a last row pins the trace of cone 0's combination to 1.
-    Strictly, `strict_positive_solution` asks for a solution with every
+    Strictly, `strict_positive_reference` asks for a solution with every
     coefficient positive; plainly, `lp_feasible` for any nonnegative one.
     """
     offsets, n = [], 0
@@ -106,7 +108,7 @@ def intersection_reference(cones, strict=False):
     rows.append(tuple(g.trace() for g in first) + (Fraction(0),) * (n - len(first)))
     rhs.append(Fraction(1))
     if strict:
-        point = strict_positive_solution(rows, rhs, n)
+        point = strict_positive_reference(rows, rhs, n)
     else:
         _, point = lp_feasible(LPProblem(tuple(rows), tuple(rhs), n))
     if point is None:

@@ -4,6 +4,10 @@ This is the kernel `cone_geometry` ran before it moved to an integer
 tableau, kept as an oracle.  The integer kernel must make the same pivots,
 so it returns the same (status, point, value) as `_solve` here on every LP.
 It does not count calls; only the library kernel feeds `lp_call_count`.
+
+`strict_positive_reference` is the strict-positivity encoding
+`cone_geometry.strict_positive_solution` replaced: the max-min-slack LP,
+solved by the library's `lp_maximize`.
 """
 
 from __future__ import annotations
@@ -11,7 +15,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Optional
 
-from loccsynth.cone_geometry import LPProblem
+from loccsynth.cone_geometry import LPProblem, lp_maximize
 
 
 class _Tableau:
@@ -108,3 +112,37 @@ def _solve(p: LPProblem) -> tuple[str, Optional[list[Fraction]], Optional[Fracti
         return "unbounded", x, None
     value = sum(c * v for c, v in zip(p.objective, x))
     return "optimal", x, value
+
+
+def strict_positive_reference(rows, rhs, n: int) -> Optional[list[Fraction]]:
+    """A solution x of rows . x = rhs with every x_i > 0, or None.
+
+    Solved as max t subject to x_i - t - s_i = 0 and t + s = 1 over the
+    columns (x, t, one slack per x_i, the slack of t <= 1); x at the optimum
+    is returned when t* > 0.  Bland's rule makes the returned point depend
+    on this column and row order.
+    """
+    width = n + 1 + n + 1
+    t_col = n
+    full_rows = [tuple(row) + (Fraction(0),) * (width - n) for row in rows]
+    full_rhs = list(rhs)
+    for i in range(n):
+        row = [Fraction(0)] * width
+        row[i] = Fraction(1)
+        row[t_col] = Fraction(-1)
+        row[n + 1 + i] = Fraction(-1)
+        full_rows.append(tuple(row))
+        full_rhs.append(Fraction(0))
+    row = [Fraction(0)] * width
+    row[t_col] = Fraction(1)
+    row[width - 1] = Fraction(1)
+    full_rows.append(tuple(row))
+    full_rhs.append(Fraction(1))
+    objective = [Fraction(0)] * width
+    objective[t_col] = Fraction(1)
+    status, point, value = lp_maximize(
+        LPProblem(tuple(full_rows), tuple(full_rhs), width, tuple(objective))
+    )
+    if status != "optimal" or point is None or value is None or value <= 0:
+        return None
+    return point[:n]

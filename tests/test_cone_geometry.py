@@ -1,5 +1,6 @@
 """Exact LP feasibility and cone-intersection queries."""
 
+import functools
 import itertools
 import random
 from collections import Counter
@@ -11,7 +12,7 @@ import oracle_lp
 from helpers import proj
 from oracle_cones import cones_intersect_oracle, intersection_reference
 
-from loccsynth import cone_geometry
+from loccsynth import cone_geometry, synthesis_engine
 from loccsynth.cone_geometry import (
     Cone,
     IntersectionMemo,
@@ -25,6 +26,8 @@ from loccsynth.cone_geometry import (
     strict_positive_solution,
 )
 from loccsynth.exact_algebra import ExactComplex, HermitianOp, op_linear_combine, rank_one
+from loccsynth.fixtures import conditional_basis_2x2
+from loccsynth.synthesis_engine import SearchConfig, solve_tree, synthesize, validate_measurement
 
 
 def frac_rows(rows):
@@ -240,13 +243,18 @@ def _oracle_answers(p, runs, monkeypatch):
     """What `_lp_answers` gives when every LP, rows 0 = 0 included, goes to
     the Fraction oracle as it is."""
     oracle = _logged(oracle_lp._solve, runs)
-    status, point, _ = oracle(LPProblem(p.rows, p.rhs, p.n_vars))
-    feasible = (False, None) if status == "infeasible" else (True, point)
+
+    def feasible(problem):
+        status, point, _ = oracle(problem)
+        return (False, None) if status == "infeasible" else (True, point)
+
+    plain = feasible(LPProblem(p.rows, p.rhs, p.n_vars))
     maximum = oracle(p)
+    # The strict LP's own encoding, solved by the oracle as it is.
     with monkeypatch.context() as patch:
-        patch.setattr(cone_geometry, "lp_maximize", oracle)
+        patch.setattr(cone_geometry, "lp_feasible", feasible)
         strict = strict_positive_solution(p.rows, p.rhs, p.n_vars)
-    return feasible, maximum, strict
+    return plain, maximum, strict
 
 
 def test_lp_rows_reading_zero_equals_zero_change_no_pivot(monkeypatch):
@@ -259,7 +267,7 @@ def test_lp_rows_reading_zero_equals_zero_change_no_pivot(monkeypatch):
     _record_run_pivots(monkeypatch, cone_geometry._Tableau, runs)
     _record_run_pivots(monkeypatch, oracle_lp._Tableau, oracle_runs)
     monkeypatch.setattr(cone_geometry, "_solve", _logged(cone_geometry._solve, runs))
-    problems = [_with_empty_rows(_random_lp(rng)[0], rng) for _ in range(200)]
+    problems = [_with_empty_rows(_random_lp(rng)[0], rng) for _ in range(350)]
     # Only empty rows: the kernel runs on an LP with no rows at all.
     empty = LPProblem(frac_rows([[0, 0]] * 2), (Fraction(0),) * 2, 2, frac_rows([[1, -1]])[0])
     problems.append(empty)
@@ -302,6 +310,75 @@ def test_lp_keeps_a_zero_row_with_nonzero_rhs(b):
     assert lp_maximize(problem) == ("infeasible", None, None)
     assert strict_positive_solution(problem.rows, problem.rhs, 2) is None
     assert oracle_lp._solve(problem)[0] == "infeasible"
+
+
+# --- strict_positive_solution ------------------------------------------------
+
+
+def _random_system(rng):
+    """rows . x = rhs with 1-4 rows and 1-5 columns: rhs = rows . x0 for a
+    positive x0, rhs = 0, or a random rhs."""
+    m, n = rng.randint(1, 4), rng.randint(1, 5)
+
+    def entry():
+        kind = rng.random()
+        if kind < 0.3:
+            return Fraction(0)
+        if kind < 0.7:
+            return Fraction(rng.randint(-3, 3))
+        return Fraction(rng.randint(-5, 5), rng.randint(2, 6))
+
+    rows = [[entry() for _ in range(n)] for _ in range(m)]
+    kind = rng.choice(("consistent", "homogeneous", "random"))
+    if kind == "consistent":
+        x0 = [Fraction(rng.randint(1, 5), rng.randint(1, 3)) for _ in range(n)]
+        rhs = [sum(a * x for a, x in zip(row, x0)) for row in rows]
+    elif kind == "homogeneous":
+        rhs = [Fraction(0)] * m
+    else:
+        rhs = [entry() for _ in range(m)]
+    return rows, rhs, n, kind
+
+
+def test_strict_lp_is_feasible_exactly_when_the_reference_is():
+    # The homogeneous phase-1 LP finds a strictly positive solution exactly
+    # when the max-min-slack LP does, and every point it returns solves the
+    # rows exactly.  Its point is another vertex choice, so it may differ.
+    rng = random.Random(1102)
+    seen = Counter()
+    for _ in range(600):
+        rows, rhs, n, kind = _random_system(rng)
+        got = strict_positive_solution(rows, rhs, n)
+        want = oracle_lp.strict_positive_reference(rows, rhs, n)
+        assert (got is None) == (want is None), (rows, rhs)
+        seen[kind, got is not None] += 1
+        if got is None:
+            continue
+        assert len(got) == n and all(v > 0 for v in got)
+        for row, b in zip(rows, rhs):
+            assert sum(a * x for a, x in zip(row, got)) == b
+        seen["differs"] += got != want
+    for kind in ("consistent", "homogeneous", "random"):
+        assert seen[kind, True] >= 25, (kind, seen)
+    assert seen["homogeneous", False] >= 25 and seen["random", False] >= 25, seen
+    assert seen["differs"] >= 1, seen
+
+
+def test_strict_lp_point_may_differ_from_the_reference():
+    # -2 x1 - 2 x2 = -2 and -2 x1 + 2 x2 - x3 = -1: both points are
+    # strictly positive solutions, the vertices two different LPs reach.
+    rows = frac_rows([[-2, -2, 0], [-2, 2, -1]])
+    rhs = (Fraction(-2), Fraction(-1))
+    assert strict_positive_solution(rows, rhs, 3) == [
+        Fraction(2, 3),
+        Fraction(1, 3),
+        Fraction(1, 3),
+    ]
+    assert oracle_lp.strict_positive_reference(rows, rhs, 3) == [
+        Fraction(1, 2),
+        Fraction(1, 2),
+        Fraction(1),
+    ]
 
 
 # --- cones_intersect --------------------------------------------------------
@@ -456,17 +533,46 @@ def _spy_lp(monkeypatch):
         return feasible(problem)
 
     def no_maximize(problem):
-        raise AssertionError("a cone query called lp_maximize")
+        raise AssertionError("a strict or cone LP called lp_maximize")
 
     monkeypatch.setattr(cone_geometry, "lp_feasible", spy)
     monkeypatch.setattr(cone_geometry, "lp_maximize", no_maximize)
     return problems
 
 
-@pytest.mark.parametrize("strict", [False, True], ids=["plain", "strict"])
-def test_cone_query_solves_one_integer_phase_one_lp(strict, monkeypatch):
-    # One LP over the generators' integer rays: no objective, no slack or
-    # t column, no 0 = 0 row; strictly, no normalisation row either.
+def _strict_engine_lps(caller, monkeypatch):
+    """The LPs that validation or a tree solve hands `lp_feasible`, and the
+    number of unknowns of each system they solve."""
+    m = conditional_basis_2x2()
+    if caller == "validate":
+        n_cols = [m.n_outcomes]
+        call = functools.partial(validate_measurement, m)
+    else:
+        tree = synthesize(m, SearchConfig(max_rounds=4)).tree
+        n_cols = [len(synthesis_engine._side_system(tree, m, side)[2]) for side in "AB"]
+        call = functools.partial(solve_tree, tree, m)
+    problems = _spy_lp(monkeypatch)
+    before = lp_call_count()
+    assert call() is not None
+    assert lp_call_count() == before + len(n_cols)
+    return problems, n_cols
+
+
+@pytest.mark.parametrize("query", ["plain", "strict", "validate", "solve_tree"])
+def test_cone_query_solves_one_integer_phase_one_lp(query, monkeypatch):
+    # Each cone query, weight LP and party of a tree solve is one phase-1
+    # LP: no objective, no t or slack column, no `lp_maximize`.  A strict
+    # LP A x = b over n unknowns reads [A | -b] y = -[A | -b].1: n columns
+    # when b = 0, as in a strict cone query, and n + 1 otherwise.
+    if query in ("validate", "solve_tree"):
+        problems, n_cols = _strict_engine_lps(query, monkeypatch)
+        assert [p.n_vars for p in problems] == [n + 1 for n in n_cols]
+        for problem in problems:
+            assert problem.objective is None
+            assert problem.rhs == tuple(-sum(row) for row in problem.rows)
+            assert any(row[-1] for row in problem.rows)  # the column -b
+        return
+    strict = query == "strict"
     problems = _spy_lp(monkeypatch)
     cones = [Cone((ZERO, ONE.scale(Fraction(2, 3)))), Cone((PLUS, MINUS, ZERO))]
     before = lp_call_count()

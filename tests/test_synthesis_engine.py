@@ -1,12 +1,14 @@
 """Measurement validation and the synthesis loop."""
 
 import random
+from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
-from helpers import permute_outcomes, proj, random_rescale
+from helpers import permute_outcomes, proj, random_rescale, random_small_measurement
+from oracle_lp import strict_positive_reference
 
 from loccsynth import cone_geometry, synthesis_engine
 from loccsynth.exact_algebra import HermitianOp, kron, vectorize
@@ -362,6 +364,50 @@ def test_memo_changes_only_its_counters(name, monkeypatch):
             assert memo.q == bare.q and memo.p == bare.p
         else:
             assert memo.verdict == bare.verdict
+
+
+def _run(m, rounds):
+    cfg = SearchConfig(max_rounds=rounds, exhaustive=True)
+    return validate_measurement(m), synthesize(m, cfg)
+
+
+def _assert_same_run(m, rounds, monkeypatch):
+    weights, out = _run(m, rounds)
+    with monkeypatch.context() as patch:
+        for module in (cone_geometry, synthesis_engine):
+            patch.setattr(module, "strict_positive_solution", strict_positive_reference)
+        ref_weights, ref = _run(m, rounds)
+    assert weights == ref_weights
+    assert type(out) is type(ref)
+    assert out.stats == ref.stats
+    if isinstance(out, LOCCProtocol):
+        assert tree_to_text(out.tree) == tree_to_text(ref.tree)
+        assert (out.q, out.p, out.weights) == (ref.q, ref.p, ref.weights)
+    else:
+        assert out.verdict == ref.verdict
+    return out
+
+
+@pytest.mark.parametrize("name", sorted(BUILTIN))
+def test_strict_lp_matches_the_max_min_slack_reference_on_fixtures(name, monkeypatch):
+    # The homogeneous phase-1 strict LP and the max-min-slack LP it replaced
+    # find the same weights, verdicts, trees, coefficients and counters on
+    # every fixture, rescaled and permuted copies included.
+    rng = random.Random(f"strict-{name}")
+    m = BUILTIN[name]()
+    for variant in [m] + [random_rescale(permute_outcomes(m, rng), rng) for _ in range(2)]:
+        _assert_same_run(variant, 10, monkeypatch)
+
+
+def test_strict_lp_matches_the_max_min_slack_reference_on_criterion_6(monkeypatch):
+    # Criterion 6's instances and variants, on a seeded subset of its seeds.
+    kinds = Counter()
+    for i in random.Random(6).sample(range(500), 60):
+        rng = random.Random(20_000 + i)
+        m = random_small_measurement(rng)
+        for variant in (m, permute_outcomes(m, rng), random_rescale(m, rng)):
+            kinds[type(_assert_same_run(variant, 4, monkeypatch))] += 1
+    assert kinds[LOCCProtocol] >= 100 and kinds[NoLoccCertificate] >= 20, kinds
 
 
 def test_each_cone_is_built_once_per_run(monkeypatch):
