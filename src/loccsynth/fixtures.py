@@ -1,202 +1,20 @@
 """Bundled measurement instances used by the CLI demos and the test suite.
 
-All operators are exact: projector entries like 1/2 stay rational even when
-the underlying state vectors are irrational.  Each constructor returns a
-validated SeparableMeasurement.
+The measurements live only in `data/*.json`, in the exact file format of
+`frontend_cli`.  `BUILTIN` maps each file's stem to a zero-argument
+callable that reads a fresh SeparableMeasurement from that file.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
+from functools import partial
+from pathlib import Path
 
-from .exact_algebra import HermitianOp, rank_one
-from .synthesis_engine import SeparableMeasurement
+from .frontend_cli import read_measurement
 
-
-def _proj(*amplitudes, scale=None) -> HermitianOp:
-    """Projector onto sum of basis kets with +-1 amplitudes, normalized."""
-    if scale is None:
-        scale = Fraction(1, sum(a * a for a in amplitudes if a))
-    return rank_one(list(amplitudes), scale)
-
-
-def bennett9() -> SeparableMeasurement:
-    """The nine 3x3 product states exhibiting nonlocality without
-    entanglement; a separable measurement with no LOCC implementation."""
-
-    def ket(i, d=3):
-        return [1 if x == i else 0 for x in range(d)]
-
-    def plus(i, j, sign=1, d=3):
-        return [1 if x == i else (sign if x == j else 0) for x in range(d)]
-
-    one = _proj(*ket(1))
-    zero = _proj(*ket(0))
-    two = _proj(*ket(2))
-    outcomes = [
-        (one, one),
-        (zero, _proj(*plus(0, 1))),
-        (zero, _proj(*plus(0, 1, -1))),
-        (two, _proj(*plus(1, 2))),
-        (two, _proj(*plus(1, 2, -1))),
-        (_proj(*plus(1, 2)), zero),
-        (_proj(*plus(1, 2, -1)), zero),
-        (_proj(*plus(0, 1)), two),
-        (_proj(*plus(0, 1, -1)), two),
-    ]
-    return SeparableMeasurement(3, 3, tuple(outcomes))
-
-
-def product_basis(dA: int, dB: int) -> SeparableMeasurement:
-    """Projectors onto the full product basis: a one-round-each protocol."""
-    outcomes = []
-    for i in range(dA):
-        a = [1 if x == i else 0 for x in range(dA)]
-        for j in range(dB):
-            b = [1 if x == j else 0 for x in range(dB)]
-            outcomes.append((_proj(*a), _proj(*b)))
-    return SeparableMeasurement(dA, dB, tuple(outcomes))
-
-
-def conditional_basis_2x2() -> SeparableMeasurement:
-    """Alice measures the computational basis; Bob measures z or x basis
-    depending on her outcome."""
-    zero = _proj(1, 0)
-    one = _proj(0, 1)
-    plus = _proj(1, 1)
-    minus = _proj(1, -1)
-    outcomes = [
-        (zero, zero),
-        (zero, one),
-        (one, plus),
-        (one, minus),
-    ]
-    return SeparableMeasurement(2, 2, tuple(outcomes))
-
-
-def single_identity(dA: int = 2, dB: int = 2) -> SeparableMeasurement:
-    """One-outcome measurement 2I (x) I: the do-nothing protocol."""
-    return SeparableMeasurement(
-        dA, dB, ((HermitianOp.identity(dA).scale(2), HermitianOp.identity(dB)),)
-    )
-
-
-def example4() -> SeparableMeasurement:
-    """Five qubit-qubit product operators where only the pairwise B merge
-    (not the full proportional triple) leads to a protocol.
-
-    Relations satisfied, with every coefficient equal to one:
-      B1 = B2 = B3,  B5 = B1 + B4,  I_B = B3 + B5,
-      A4 = A1 + A2,  I_A = A3 = A4 + A5,
-    and no further linear relations among either side's operators.
-    """
-    h = Fraction(1, 2)
-    q = Fraction(1, 4)
-    e = Fraction(1, 8)
-    a1 = HermitianOp.from_rows([[h, q], [q, q]])
-    a2 = HermitianOp.from_rows([[q, -q], [-q, Fraction(3, 8)]])
-    a3 = HermitianOp.identity(2)
-    a4 = a1.add(a2)
-    a5 = a3.sub(a4)
-    g = HermitianOp.from_rows([[q, e], [e, q]])
-    b4 = HermitianOp.from_rows([[h, -q], [-q, h]])
-    b5 = g.add(b4)
-    outcomes = [(a1, g), (a2, g), (a3, g), (a4, b4), (a5, b5)]
-    return SeparableMeasurement(2, 2, tuple(outcomes))
-
-
-def example5() -> SeparableMeasurement:
-    """Seven product operators (qubit x qutrit) whose protocol reuses
-    outcome 1 on two leaves.
-
-    Relations satisfied:
-      B1 = 2 B2 = 3 B3,  B6 = B1 + B4,  B7 = B1 + 2 B5,  I_B = B6 + B7,
-      2 A4 = A1 + A2,    3 A5 = A1 + A3,
-      I_A = A6 + 2 A4 = A7 + 3 A5.
-    The complex entry in A2 keeps the A side free of accidental relations.
-    """
-    q = Fraction(1, 4)
-    e = Fraction(1, 8)
-    a1 = HermitianOp.diag(q, e)
-    a2 = HermitianOp.from_rows([[q, (0, e)], [(0, -e), q]])
-    a3 = HermitianOp.from_rows([[e, -e], [-e, Fraction(3, 8)]])
-    a4 = a1.add(a2).scale(Fraction(1, 2))
-    a5 = a1.add(a3).scale(Fraction(1, 3))
-    ident_a = HermitianOp.identity(2)
-    a6 = ident_a.sub(a1).sub(a2)
-    a7 = ident_a.sub(a1).sub(a3)
-    b1 = HermitianOp.from_rows(
-        [[q, e, 0], [e, q, 0], [0, 0, e]]
-    )
-    b2 = b1.scale(Fraction(1, 2))
-    b3 = b1.scale(Fraction(1, 3))
-    b4 = HermitianOp.from_rows(
-        [[q, -e, 0], [-e, q, 0], [0, 0, Fraction(1, 2)]]
-    )
-    b5 = HermitianOp.from_rows(
-        [[e, -Fraction(1, 16), 0], [-Fraction(1, 16), e, 0], [0, 0, e]]
-    )
-    b6 = b1.add(b4)
-    b7 = b1.add(b5.scale(2))
-    outcomes = [
-        (a1, b1),
-        (a2, b2),
-        (a3, b3),
-        (a4, b4),
-        (a5, b5),
-        (a6, b6),
-        (a7, b7),
-    ]
-    return SeparableMeasurement(2, 3, tuple(outcomes))
-
-
-def five_rank_one() -> SeparableMeasurement:
-    """Five rank-one products, pairwise non-proportional on both sides,
-    completed to the identity by two extra product outcomes.
-
-    With g = |0>, the completion demands sum of eps_k <0|a_k><a_k|1> [b_k]
-    to vanish; the chosen Bloch data solve that balance exactly, so
-    I - sum eps_k [a_k](x)[b_k] splits into [0](x)B6 + [1](x)B7.  Nothing is
-    proportional on either side, so no two outcomes can ever share a node.
-    """
-    s = Fraction(1, 500)
-    a_vecs = [
-        (Fraction(4, 5), Fraction(3, 5)),
-        (Fraction(12, 13), Fraction(5, 13)),
-        (Fraction(-3, 5), Fraction(4, 5)),
-        (Fraction(-5, 13), Fraction(12, 13)),
-        (Fraction(-8, 17), Fraction(15, 17)),
-    ]
-    b_ops = [
-        _proj(1, 0),
-        _proj(0, 1),
-        _proj(1, 1),
-        _proj(1, -1),
-        rank_one([Fraction(3, 5), Fraction(4, 5)]),
-    ]
-    mu = [22 * s, 29 * s, -1 * s, -25 * s, -25 * s]
-    eps = []
-    for (ax, ay), m_k in zip(a_vecs, mu):
-        eps.append(m_k / (ax * ay))
-    a_ops = [rank_one(list(v)) for v in a_vecs]
-    b6 = HermitianOp.identity(2)
-    b7 = HermitianOp.identity(2)
-    for (ax, ay), e_k, b_op in zip(a_vecs, eps, b_ops):
-        b6 = b6.sub(b_op.scale(e_k * ax * ax))
-        b7 = b7.sub(b_op.scale(e_k * ay * ay))
-    outcomes = [
-        (a_op, b_op.scale(e_k)) for a_op, b_op, e_k in zip(a_ops, b_ops, eps)
-    ] + [(_proj(1, 0), b6), (_proj(0, 1), b7)]
-    return SeparableMeasurement(2, 2, tuple(outcomes))
-
+_DATA_DIR = Path(__file__).resolve().parent / "data"
 
 BUILTIN = {
-    "bennett9": bennett9,
-    "product_basis_2x2": lambda: product_basis(2, 2),
-    "product_basis_3x3": lambda: product_basis(3, 3),
-    "conditional_basis_2x2": conditional_basis_2x2,
-    "example4": example4,
-    "example5": example5,
-    "five_rank_one": five_rank_one,
-    "single_identity": single_identity,
+    path.stem: partial(read_measurement, path)
+    for path in sorted(_DATA_DIR.glob("*.json"))
 }

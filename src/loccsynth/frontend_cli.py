@@ -153,16 +153,9 @@ def parse_measurement(path) -> SeparableMeasurement:
     return m
 
 
-def _fraction_str(x: Fraction) -> str:
-    return str(x)
-
-
 def measurement_to_dict(m: SeparableMeasurement) -> dict:
     def matrix(op: HermitianOp):
-        return [
-            [[_fraction_str(e.re), _fraction_str(e.im)] for e in row]
-            for row in op.entries
-        ]
+        return [[[str(e.re), str(e.im)] for e in row] for row in op.entries]
 
     return {
         "dA": m.dA,
@@ -241,7 +234,7 @@ def _stats_dict(stats) -> dict:
 
 
 def _coeff_dict(table: dict[LeafRef, Fraction]) -> dict:
-    return {f"{r.j},{r.k}": _fraction_str(v) for r, v in sorted(table.items())}
+    return {f"{r.j},{r.k}": str(v) for r, v in sorted(table.items())}
 
 
 def _check_writable(path) -> None:
@@ -386,7 +379,14 @@ def main(argv=None) -> int:
     )
     parser.add_argument("input", help="measurement file (JSON, exact fractions)")
     parser.add_argument(
-        "--max-rounds", "-L", type=int, default=8, help="round budget (default 8)"
+        "--max-rounds",
+        "-L",
+        type=int,
+        default=8,
+        help=(
+            "round budget (default 8); a search at L finds only protocols in "
+            "which Alice measures last, Bob-last protocols need L + 1"
+        ),
     )
     parser.add_argument(
         "--exhaustive",

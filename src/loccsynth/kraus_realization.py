@@ -72,27 +72,29 @@ def psd_sqrt(op: FloatOp, neg_tol: float = 1e-10) -> FloatOp:
     return (vecs * np.sqrt(vals)) @ vecs.conj().T
 
 
+def _on_support(op: FloatOp, rank_tol: float, invert: bool) -> FloatOp:
+    """The support rule: eigenvalues above rank_tol * max span the support.
+    Returns the projector onto it, or with `invert` the inverse on it."""
+    _check_hermitian(op)
+    vals, vecs = np.linalg.eigh(op)
+    top = vals.max(initial=0.0)
+    if top <= 0.0:
+        return np.zeros_like(op)
+    keep = vals > rank_tol * top
+    factor = np.where(keep, 1.0, 0.0)
+    if invert:
+        factor = factor / np.where(keep, vals, 1.0)
+    return (vecs * factor) @ vecs.conj().T
+
+
 def support_inverse(op: FloatOp, rank_tol: float = 1e-10) -> FloatOp:
     """Inverse on the support: eigenvalues above rank_tol * max are
     inverted, the rest zeroed."""
-    _check_hermitian(op)
-    vals, vecs = np.linalg.eigh(op)
-    top = vals.max(initial=0.0)
-    if top <= 0.0:
-        return np.zeros_like(op)
-    inv = np.where(vals > rank_tol * top, 1.0, 0.0)
-    safe = np.where(vals > rank_tol * top, vals, 1.0)
-    return (vecs * (inv / safe)) @ vecs.conj().T
+    return _on_support(op, rank_tol, invert=True)
 
 
 def support_projector(op: FloatOp, rank_tol: float = 1e-10) -> FloatOp:
-    _check_hermitian(op)
-    vals, vecs = np.linalg.eigh(op)
-    top = vals.max(initial=0.0)
-    if top <= 0.0:
-        return np.zeros_like(op)
-    keep = np.where(vals > rank_tol * top, 1.0, 0.0)
-    return (vecs * keep) @ vecs.conj().T
+    return _on_support(op, rank_tol, invert=False)
 
 
 @dataclass

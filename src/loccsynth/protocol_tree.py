@@ -136,13 +136,11 @@ def equivalence_signature(tree: Tree):
     return (jset, canonical_key(tree.root))
 
 
-def seed_trees(measurement) -> list[Tree]:
-    """One two-node tree per product operator, B node on the left.
+def seed_trees(count: int) -> list[Tree]:
+    """One two-node tree per outcome 1..count, B node on the left.
 
-    Accepts a SeparableMeasurement-like object (with n_outcomes) or a plain
-    outcome count.  Seed uid equals the outcome index j.
+    Seed uid equals the outcome index j.
     """
-    count = measurement if isinstance(measurement, int) else measurement.n_outcomes
     trees = []
     for j in range(1, count + 1):
         ref = LeafRef(j, 1)

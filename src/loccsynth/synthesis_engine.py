@@ -491,7 +491,7 @@ def synthesize(m: SeparableMeasurement, cfg: SearchConfig) -> SynthesisOutcome:
     validate_measurement(m)
     all_j = frozenset(range(1, m.n_outcomes + 1))
     lp_base = lp_call_count()
-    frontier = seed_trees(m)
+    frontier = seed_trees(m.n_outcomes)
     next_uid = m.n_outcomes + 1
     trees_total = m.n_outcomes
     seen_sigs = {equivalence_signature(t) for t in frontier}

@@ -23,14 +23,7 @@ from oracle_psd import char_poly
 from loccsynth import synthesis_engine
 from loccsynth.cone_geometry import Cone, cones_intersect, proportional
 from loccsynth.exact_algebra import HermitianOp, kron, op_linear_combine
-from loccsynth.fixtures import (
-    bennett9,
-    conditional_basis_2x2,
-    example4,
-    example5,
-    five_rank_one,
-    product_basis,
-)
+from loccsynth.fixtures import BUILTIN
 from loccsynth.kraus_realization import realize, verify_instrument
 from loccsynth.protocol_tree import (
     LeafRef,
@@ -86,7 +79,7 @@ def _assert_identity_roots(protocol: LOCCProtocol) -> None:
 
 def test_criterion_1_bennett9_unimplementable():
     started = time.monotonic()
-    out = _synth(bennett9(), 10, exhaustive=True)
+    out = _synth(BUILTIN["bennett9"](), 10, exhaustive=True)
     elapsed = time.monotonic() - started
     assert isinstance(out, NoLoccCertificate)
     assert out.verdict == NO_LOCC_ANY_ROUNDS
@@ -108,9 +101,9 @@ def test_criterion_1_bennett9_unimplementable():
 
 def test_criterion_2_projective_and_conditional_protocols():
     cases = [
-        ("product basis 2x2", product_basis(2, 2)),
-        ("product basis 3x3", product_basis(3, 3)),
-        ("conditional basis", conditional_basis_2x2()),
+        ("product basis 2x2", BUILTIN["product_basis_2x2"]()),
+        ("product basis 3x3", BUILTIN["product_basis_3x3"]()),
+        ("conditional basis", BUILTIN["conditional_basis_2x2"]()),
     ]
     for name, m in cases:
         started = time.monotonic()
@@ -125,7 +118,7 @@ def test_criterion_2_projective_and_conditional_protocols():
 
 
 def test_criterion_3_pairwise_merge_required(monkeypatch):
-    m = example4()
+    m = BUILTIN["example4"]()
     out = _synth(m, 8)
     assert isinstance(out, LOCCProtocol)
     verify_protocol_exact(out)
@@ -174,7 +167,7 @@ def test_criterion_3_pairwise_merge_required(monkeypatch):
 
 
 def test_criterion_4_seven_operators_eight_leaves():
-    m = example5()
+    m = BUILTIN["example5"]()
     out = _synth(m, 8)
     assert isinstance(out, LOCCProtocol)
     verify_protocol_exact(out)
@@ -226,7 +219,7 @@ def test_criterion_4_seven_operators_eight_leaves():
 
 
 def test_criterion_5_nothing_can_merge():
-    m = five_rank_one()
+    m = BUILTIN["five_rank_one"]()
     rank_one_count = 0
     for a, b in m.outcomes:
         if char_poly(a)[2] == 0:  # 2x2 rank <= 1
@@ -332,7 +325,7 @@ def test_criterion_8_congruent_collapse_preserves_validity():
             for k in range(n)
         )
         m = SeparableMeasurement(2, 2, outcomes)
-        trees = seed_trees(m)
+        trees = seed_trees(m.n_outcomes)
         rng.shuffle(trees)
         cut = rng.randint(2, len(trees)) if len(trees) > 2 else 2
         base = merge_and_extend(trees[:cut])

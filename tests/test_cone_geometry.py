@@ -26,7 +26,7 @@ from loccsynth.cone_geometry import (
     strict_positive_solution,
 )
 from loccsynth.exact_algebra import ExactComplex, HermitianOp, op_linear_combine, rank_one
-from loccsynth.fixtures import conditional_basis_2x2
+from loccsynth.fixtures import BUILTIN
 from loccsynth.synthesis_engine import SearchConfig, solve_tree, synthesize, validate_measurement
 
 
@@ -543,7 +543,7 @@ def _spy_lp(monkeypatch):
 def _strict_engine_lps(caller, monkeypatch):
     """The LPs that validation or a tree solve hands `lp_feasible`, and the
     number of unknowns of each system they solve."""
-    m = conditional_basis_2x2()
+    m = BUILTIN["conditional_basis_2x2"]()
     if caller == "validate":
         n_cols = [m.n_outcomes]
         call = functools.partial(validate_measurement, m)

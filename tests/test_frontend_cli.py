@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from loccsynth import frontend_cli, synthesis_engine
-from loccsynth.fixtures import BUILTIN, bennett9, product_basis
+from loccsynth.fixtures import BUILTIN
 from loccsynth.frontend_cli import (
     MeasurementFileError,
     main,
@@ -109,15 +109,8 @@ def test_parse_rejects_boolean_dimensions(tmp_path):
         parse_measurement(path)
 
 
-@pytest.mark.parametrize("name", sorted(BUILTIN))
-def test_bundled_files_match_fixtures(name):
-    assert {p.stem for p in DATA.glob("*.json")} == set(BUILTIN)
-    doc = json.loads((DATA / f"{name}.json").read_text())
-    assert doc == measurement_to_dict(BUILTIN[name]())
-
-
 def test_round_trip_is_identity(tmp_path):
-    m = bennett9()
+    m = BUILTIN["bennett9"]()
     path = tmp_path / "b9.json"
     write_measurement(m, path)
     again = parse_measurement(path)
@@ -357,7 +350,7 @@ def test_module_entry_point_runs_without_warnings():
 
 
 def test_dot_labels_show_symbolic_sums():
-    m = product_basis(2, 2)
+    m = BUILTIN["product_basis_2x2"]()
     protocol = synthesize(m, SearchConfig(max_rounds=4))
     assert isinstance(protocol, LOCCProtocol)
     dot = tree_to_dot(protocol.tree, protocol)

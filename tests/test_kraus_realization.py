@@ -7,14 +7,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from loccsynth.fixtures import (
-    conditional_basis_2x2,
-    example4,
-    example5,
-    product_basis,
-    single_identity,
-)
 from loccsynth.exact_algebra import HermitianOp, vectorize
+from loccsynth.fixtures import BUILTIN
 from loccsynth.kraus_realization import (
     _coords_to_float,
     psd_sqrt,
@@ -23,7 +17,12 @@ from loccsynth.kraus_realization import (
     to_float,
     verify_instrument,
 )
-from loccsynth.synthesis_engine import LOCCProtocol, SearchConfig, synthesize
+from loccsynth.synthesis_engine import (
+    LOCCProtocol,
+    SearchConfig,
+    SeparableMeasurement,
+    synthesize,
+)
 
 
 def rand_psd(rng, d):
@@ -128,7 +127,7 @@ def _protocol(m):
 
 
 def test_realize_product_basis_rounds_are_projective():
-    m = product_basis(2, 2)
+    m = BUILTIN["product_basis_2x2"]()
     kp = realize(_protocol(m))
     first = kp.root.children[0].children
     # First measurement: complete projective measurement on one side.
@@ -148,7 +147,11 @@ def test_realize_product_basis_rounds_are_projective():
 
 
 def test_realize_single_outcome_is_trivial():
-    for m in (single_identity(), single_identity(3, 2)):
+    # 2 I (x) I, the do-nothing protocol, on equal and on unequal sides.
+    qutrit = SeparableMeasurement(
+        3, 2, ((HermitianOp.identity(3).scale(2), HermitianOp.identity(2)),)
+    )
+    for m in (BUILTIN["single_identity"](), qutrit):
         kp = realize(_protocol(m))
         assert kp.root.children[0].leaf is not None
         report = verify_instrument(kp, m)
@@ -163,11 +166,11 @@ def test_realize_single_outcome_is_trivial():
 
 def test_instruments_verify_for_all_protocol_fixtures():
     for m in (
-        product_basis(2, 2),
-        product_basis(3, 3),
-        conditional_basis_2x2(),
-        example4(),
-        example5(),
+        BUILTIN["product_basis_2x2"](),
+        BUILTIN["product_basis_3x3"](),
+        BUILTIN["conditional_basis_2x2"](),
+        BUILTIN["example4"](),
+        BUILTIN["example5"](),
     ):
         protocol = _protocol(m)
         kp = realize(protocol)
@@ -177,7 +180,7 @@ def test_instruments_verify_for_all_protocol_fixtures():
 
 
 def test_leaf_paths_match_exact_operators():
-    m = example5()
+    m = BUILTIN["example5"]()
     protocol = _protocol(m)
     kp = realize(protocol)
     report = verify_instrument(kp, m, tol=1e-9)
@@ -185,7 +188,7 @@ def test_leaf_paths_match_exact_operators():
 
 
 def test_verifier_flags_wrong_weights():
-    m = product_basis(2, 2)
+    m = BUILTIN["product_basis_2x2"]()
     protocol = _protocol(m)
     wrong = dataclasses.replace(
         protocol,

@@ -14,7 +14,7 @@ from helpers import (
 )
 
 from loccsynth.exact_algebra import HermitianOp
-from loccsynth.fixtures import bennett9, example5, single_identity
+from loccsynth.fixtures import BUILTIN
 from loccsynth.protocol_tree import (
     LeafRef,
     OpConstraint,
@@ -43,9 +43,9 @@ def ref(j, k):
 
 
 def test_seed_trees_counts():
-    assert len(seed_trees(bennett9())) == 9
-    assert len(seed_trees(single_identity())) == 1
-    assert len(seed_trees(example5())) == 7
+    assert len(seed_trees(BUILTIN["bennett9"]().n_outcomes)) == 9
+    assert len(seed_trees(BUILTIN["single_identity"]().n_outcomes)) == 1
+    assert len(seed_trees(BUILTIN["example5"]().n_outcomes)) == 7
 
 
 def test_seed_tree_shape():
@@ -242,7 +242,7 @@ def test_collapse_two_leaf_copies():
 
 def test_collapse_preserves_ledger_satisfiability():
     m = _pair_measurement()
-    trees = seed_trees(m)
+    trees = seed_trees(m.n_outcomes)
     base = merge_and_extend([trees[0], trees[1]])
     doubled = merge_and_extend([base, base])
     assert has_congruent_siblings(doubled)
@@ -257,7 +257,7 @@ def test_collapse_preserves_ledger_satisfiability():
 
 def test_collapse_three_copies_matches_pairwise_form():
     m = _pair_measurement()
-    trees = seed_trees(m)
+    trees = seed_trees(m.n_outcomes)
     base = merge_and_extend([trees[0], trees[1]])
     tripled = merge_and_extend([base, base, base])
     collapsed = collapse_congruent(tripled)

@@ -12,15 +12,7 @@ from oracle_lp import strict_positive_reference
 
 from loccsynth import cone_geometry, synthesis_engine
 from loccsynth.exact_algebra import HermitianOp, kron, vectorize
-from loccsynth.fixtures import (
-    BUILTIN,
-    bennett9,
-    conditional_basis_2x2,
-    example4,
-    example5,
-    product_basis,
-    single_identity,
-)
+from loccsynth.fixtures import BUILTIN
 from loccsynth.protocol_tree import (
     LeafRef,
     OpConstraint,
@@ -76,15 +68,15 @@ def test_ingest_rejects_dimension_mismatch():
 
 
 def test_validate_bennett9_weights_are_one():
-    assert validate_measurement(bennett9()) == [Fraction(1)] * 9
+    assert validate_measurement(BUILTIN["bennett9"]()) == [Fraction(1)] * 9
 
 
 def test_validate_product_basis_weights_are_one():
-    assert validate_measurement(product_basis(2, 2)) == [Fraction(1)] * 4
+    assert validate_measurement(BUILTIN["product_basis_2x2"]()) == [Fraction(1)] * 4
 
 
 def test_validate_scaled_single_outcome():
-    m = single_identity()
+    m = BUILTIN["single_identity"]()
     assert validate_measurement(m) == [Fraction(1, 2)]
 
 
@@ -100,7 +92,7 @@ def test_validate_rejects_incomplete_family():
 
 
 def test_feasibility_solves_completed_search_tree():
-    m = product_basis(2, 2)
+    m = BUILTIN["product_basis_2x2"]()
     protocol = synthesize(m, SearchConfig(max_rounds=4))
     assert isinstance(protocol, LOCCProtocol)
     solved = solve_tree(protocol.tree, m)
@@ -114,7 +106,7 @@ def test_feasibility_rejects_root_that_cannot_reach_identity():
     m = SeparableMeasurement(
         2, 2, ((proj((1, 0)), proj((1, 0))), (proj((1, 0)).scale(2), proj((0, 1))))
     )
-    trees = seed_trees(m)
+    trees = seed_trees(m.n_outcomes)
     complete = merge_and_extend(trees)
     assert solve_tree(complete, m) is None
 
@@ -129,7 +121,7 @@ def test_example4_protocol_is_verified_once(monkeypatch):
         verify(protocol)
 
     monkeypatch.setattr(synthesis_engine, "verify_protocol_exact", counting)
-    out = synthesize(example4(), SearchConfig(max_rounds=8))
+    out = synthesize(BUILTIN["example4"](), SearchConfig(max_rounds=8))
     assert isinstance(out, LOCCProtocol)
     assert len(calls) == 1
 
@@ -142,7 +134,7 @@ def test_strict_solution_failing_verification_raises(monkeypatch):
 
     monkeypatch.setattr(synthesis_engine, "verify_protocol_exact", reject)
     with pytest.raises(ProtocolVerificationError):
-        synthesize(product_basis(2, 2), SearchConfig(max_rounds=4))
+        synthesize(BUILTIN["product_basis_2x2"](), SearchConfig(max_rounds=4))
 
 
 # --- verify_protocol_exact: one perturbed protocol per rejection -------------
@@ -150,7 +142,7 @@ def test_strict_solution_failing_verification_raises(monkeypatch):
 
 @pytest.fixture(scope="module")
 def example5_protocol():
-    out = synthesize(example5(), SearchConfig(max_rounds=8))
+    out = synthesize(BUILTIN["example5"](), SearchConfig(max_rounds=8))
     verify_protocol_exact(out)
     return out
 
@@ -201,7 +193,7 @@ def test_verify_rejects_a_missing_coefficient(example5_protocol):
 
 def test_verify_rejects_a_negative_coefficient_only_reference():
     # example4's protocol keeps 1.1 and 2.1 as B coefficients, not leaves.
-    out = synthesize(example4(), SearchConfig(max_rounds=8))
+    out = synthesize(BUILTIN["example4"](), SearchConfig(max_rounds=8))
     assert LeafRef(1, 1) in out.p and LeafRef(1, 1) not in out.q
     bad = replace(out, p=_rescaled(out.p, LeafRef(1, 1), -1))
     with pytest.raises(ProtocolVerificationError, match="negative B coefficient"):
@@ -235,20 +227,20 @@ def test_measurement_vectors_are_built_once(name, monkeypatch):
 
 
 def test_single_outcome_closes_at_round_zero():
-    out = synthesize(single_identity(), SearchConfig(max_rounds=2))
+    out = synthesize(BUILTIN["single_identity"](), SearchConfig(max_rounds=2))
     assert isinstance(out, LOCCProtocol)
     assert out.stats.rounds_completed == 0
     assert out.weights == {next(iter(out.weights)): Fraction(1, 2)}
 
 
 def test_within_l_exhaustion_verdict():
-    out = synthesize(bennett9(), SearchConfig(max_rounds=1))
+    out = synthesize(BUILTIN["bennett9"](), SearchConfig(max_rounds=1))
     assert isinstance(out, NoLoccCertificate)
     assert out.verdict == NO_LOCC_WITHIN_L
 
 
 def test_cap_poisons_the_verdict():
-    out = synthesize(bennett9(), SearchConfig(max_rounds=10, max_trees=10))
+    out = synthesize(BUILTIN["bennett9"](), SearchConfig(max_rounds=10, max_trees=10))
     assert isinstance(out, NoLoccCertificate)
     assert out.verdict == INCONCLUSIVE_CAPPED
     assert out.stats.capped
@@ -256,14 +248,14 @@ def test_cap_poisons_the_verdict():
 
 def test_example4_solution_has_unit_coefficients():
     # The fixture is normalized so the closing assignment is all ones.
-    out = synthesize(example4(), SearchConfig(max_rounds=8))
+    out = synthesize(BUILTIN["example4"](), SearchConfig(max_rounds=8))
     assert isinstance(out, LOCCProtocol)
     assert set(out.q.values()) == {Fraction(1)}
     assert set(out.p.values()) == {Fraction(1)}
 
 
 def test_determinism_of_runs():
-    m = example4()
+    m = BUILTIN["example4"]()
     cfg = SearchConfig(max_rounds=6)
     a = synthesize(m, cfg)
     b = synthesize(m, cfg)
@@ -275,7 +267,8 @@ def test_determinism_of_runs():
 
 def test_verdict_invariance_under_permutation_and_scaling():
     rng = random.Random(99)
-    for m, expect_protocol in ((bennett9(), False), (conditional_basis_2x2(), True)):
+    for name, expect_protocol in (("bennett9", False), ("conditional_basis_2x2", True)):
+        m = BUILTIN[name]()
         base = synthesize(m, SearchConfig(max_rounds=6))
         variants = [
             permute_outcomes(m, rng),
@@ -292,7 +285,8 @@ def test_verdict_invariance_under_permutation_and_scaling():
 
 
 def test_protocols_verify_exactly():
-    for m in (product_basis(2, 2), conditional_basis_2x2(), example4(), example5()):
+    for name in ("product_basis_2x2", "conditional_basis_2x2", "example4", "example5"):
+        m = BUILTIN[name]()
         out = synthesize(m, SearchConfig(max_rounds=8))
         assert isinstance(out, LOCCProtocol)
         verify_protocol_exact(out)
@@ -304,10 +298,10 @@ def test_protocols_verify_exactly():
 @pytest.mark.parametrize(
     "fixture, lp_calls, round_lp_calls, memo_hits, round_memo_hits",
     [
-        (bennett9, 15, [0, 15, 0, 0], 163, [13, 40, 55, 55]),
-        (lambda: product_basis(3, 3), 24, [0, 24], 228, [33, 195]),
-        (example4, 41, [0, 26, 3, 12], 56, [7, 0, 13, 36]),
-        (example5, 70, [0, 34, 11, 25], 92, [11, 0, 26, 55]),
+        (BUILTIN["bennett9"], 15, [0, 15, 0, 0], 163, [13, 40, 55, 55]),
+        (BUILTIN["product_basis_3x3"], 24, [0, 24], 228, [33, 195]),
+        (BUILTIN["example4"], 41, [0, 26, 3, 12], 56, [7, 0, 13, 36]),
+        (BUILTIN["example5"], 70, [0, 34, 11, 25], 92, [11, 0, 26, 55]),
     ],
     ids=["bennett9", "product_basis_3x3", "example4", "example5"],
 )
@@ -419,7 +413,7 @@ def test_each_cone_is_built_once_per_run(monkeypatch):
         return cone(generators)
 
     monkeypatch.setattr(synthesis_engine, "Cone", counting)
-    synthesize(bennett9(), SearchConfig(max_rounds=10))
+    synthesize(BUILTIN["bennett9"](), SearchConfig(max_rounds=10))
     assert built
     assert len(set(built)) == len(built)
 
