@@ -15,6 +15,8 @@ A cone query is one integer LP over the cones' integer generator rays
 (`Cone.rays`), solved by phase 1 alone: plainly with a trace-one row,
 strictly by `strict_positive_solution` (`_intersection_problem`).  A query
 made only of rays (one-generator cones) compares the rays and solves no LP.
+The answer keeps only the LP point: its witness converts the point to
+per-generator coefficients and a common operator when they are first read.
 
 Whether cones intersect depends only on the cones as sets of operators, so
 `IntersectionMemo` answers a yes/no query once per key: the set of cones,
@@ -302,12 +304,44 @@ class Cone:
         return frozenset(self.rays)
 
 
-@dataclass(frozen=True)
 class IntersectionWitness:
-    """A common nonzero point plus the per-cone coefficients producing it."""
+    """A common nonzero point plus the per-cone coefficients producing it.
 
-    coefficients: tuple[tuple[Fraction, ...], ...]
-    common: HermitianOp
+    Built from the LP point alone; `coefficients` and `common` are computed
+    when first read, so a caller that only asks whether a witness exists
+    (the run's `IntersectionMemo`) pays for neither.
+    """
+
+    def __init__(
+        self, cones: Sequence[Cone], point: Sequence[Fraction], offsets: Sequence[int]
+    ) -> None:
+        self._cones = tuple(cones)
+        self._point = point
+        self._offsets = offsets
+
+    @functools.cached_property
+    def coefficients(self) -> tuple[tuple[Fraction, ...], ...]:
+        """Per cone, one coefficient per generator, scaled so that every
+        cone's combination is the trace-one common point."""
+        cones, point, dim = self._cones, self._point, self._cones[0].dim
+        # Ray r of generator g is tr(r) / tr(g) times g's coordinate vector,
+        # and cone 0's combination has trace `total`.
+        total = sum(x * sum(r[:dim]) for x, r in zip(point, cones[0].rays))
+        return tuple(
+            tuple(
+                point[base + gi] * sum(r[:dim]) / (g.trace() * total)
+                for gi, (r, g) in enumerate(zip(cone.rays, cone.generators))
+            )
+            for base, cone in zip(self._offsets, cones)
+        )
+
+    @functools.cached_property
+    def common(self) -> HermitianOp:
+        """The common point, with trace 1."""
+        cone = self._cones[0]
+        return op_linear_combine(
+            list(zip(self.coefficients[0], cone.generators)), dim=cone.dim
+        )
 
 
 def _intersection_problem(
@@ -358,7 +392,8 @@ def cones_intersect(
     phase-1 LP from `_intersection_problem`.  The witness's common point
     has trace 1.  A plain witness is the point the LP over the generators'
     own coordinate vectors finds; a strict one is the point
-    `strict_positive_solution` finds.
+    `strict_positive_solution` finds.  Both are computed from the LP point
+    when the witness is first read.
     """
     if len(cones) < 2:
         raise ValueError("need at least two cones")
@@ -369,11 +404,9 @@ def cones_intersect(
     if all(len(cone.rays) == 1 for cone in cones):
         if any(cone.rays[0] != cones[0].rays[0] for cone in cones[1:]):
             return None
-        # The LP's trace-one common point, g_1 / tr g_1, is unique here.
-        gens = [cone.generators[0] for cone in cones]
-        coefficients = tuple((1 / g.trace(),) for g in gens)
-        common = op_linear_combine([(coefficients[0][0], gens[0])], dim=dim)
-        return IntersectionWitness(coefficients, common)
+        # One unit per ray is a point of the LP: the rays are all equal.  Its
+        # trace-one common point, g_1 / tr g_1, is unique here.
+        return IntersectionWitness(cones, (1,) * len(cones), range(len(cones)))
     problem, offsets = _intersection_problem(cones, strict)
     if strict:
         point = strict_positive_solution(problem.rows, problem.rhs, problem.n_vars)
@@ -381,22 +414,7 @@ def cones_intersect(
         point = lp_feasible(problem)[1]
     if point is None:
         return None
-    # Ray r of generator g is tr(r) / tr(g) times g's coordinate vector, and
-    # cone 0's combination has trace `total`.
-    total = sum(x * sum(r[:dim]) for x, r in zip(point, cones[0].rays))
-    coefficient_lists = []
-    for ci, cone in enumerate(cones):
-        base = offsets[ci]
-        coefficient_lists.append(
-            tuple(
-                point[base + gi] * sum(r[:dim]) / (g.trace() * total)
-                for gi, (r, g) in enumerate(zip(cone.rays, cone.generators))
-            )
-        )
-    common = op_linear_combine(
-        list(zip(coefficient_lists[0], cones[0].generators)), dim=dim
-    )
-    return IntersectionWitness(tuple(coefficient_lists), common)
+    return IntersectionWitness(cones, point, offsets)
 
 
 def proportional(x: HermitianOp, y: HermitianOp) -> Optional[Fraction]:

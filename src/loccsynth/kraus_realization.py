@@ -7,6 +7,14 @@ operator is the positive factor sqrt(Minv . value . Minv) relative to the
 previous same-party accumulation, and every internal measurement is
 completed with I - P on the support of what came before, a branch that
 occurs with zero probability.
+
+The stage works per party on stacks: one eigendecomposition of all of a
+party's node values at once yields every square root together with the
+support inverse and projector of that root, and one more yields the local
+square roots.  Each matrix in a stack keeps its own Hermitian check,
+negative-eigenvalue check and scale, so stacking changes nothing but
+rounding.  `verify_instrument` stacks its support projectors per party and
+its leaf Kronecker products likewise.
 """
 
 from __future__ import annotations
@@ -47,44 +55,64 @@ def _coords_to_float(coords: RealVector, dim: int) -> FloatOp:
     return out
 
 
-def _check_hermitian(op: FloatOp, tol: float = 1e-12) -> None:
-    scale = max(1.0, float(np.max(np.abs(op))))
-    if np.max(np.abs(op - op.conj().T)) >= tol * scale:
+def _check_hermitian(ops: FloatOp, tol: float = 1e-12) -> None:
+    """Each matrix of `ops` (one matrix, or a stack of them along the first
+    axis) must be Hermitian within tol times its own scale."""
+    scale = np.maximum(1.0, np.abs(ops).max(axis=(-2, -1)))
+    skew = np.abs(ops - ops.conj().swapaxes(-1, -2)).max(axis=(-2, -1))
+    if np.any(skew >= tol * scale):
         raise ValueError("operator is not Hermitian within tolerance")
 
 
-def psd_sqrt(op: FloatOp, neg_tol: float = 1e-10) -> FloatOp:
-    """Unique positive square root; noise-level eigenvalues are floored.
+def _psd_eigh(ops: FloatOp, neg_tol: float = 1e-10) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues and eigenvectors of PSD matrices, noise floored to zero.
 
-    An eigenvalue below -neg_tol (relative) means the exact pipeline
-    upstream handed us something that is not PSD, which is a bug, not a
-    rounding artifact.  Eigenvalues within the tolerance band around zero
-    are set exactly to zero: the square root would otherwise amplify
-    rounding noise eps to sqrt(eps), large enough to corrupt later support
-    decisions.
+    An eigenvalue below -neg_tol (relative to the matrix's own scale) means
+    the exact pipeline upstream handed us something that is not PSD, which
+    is a bug, not a rounding artifact.  Eigenvalues within the tolerance
+    band around zero are set exactly to zero: a square root would otherwise
+    amplify rounding noise eps to sqrt(eps), large enough to corrupt later
+    support decisions.  Works on one matrix or a stack of them.
     """
-    _check_hermitian(op)
-    vals, vecs = np.linalg.eigh(op)
-    scale = max(1.0, float(vals.max(initial=0.0)))
-    if vals.min(initial=0.0) < -neg_tol * scale:
-        raise ValueError(f"matrix has eigenvalue {vals.min()} < -{neg_tol * scale}")
-    vals = np.where(vals < neg_tol * scale, 0.0, vals)
-    return (vecs * np.sqrt(vals)) @ vecs.conj().T
+    _check_hermitian(ops)
+    vals, vecs = np.linalg.eigh(ops)
+    scale = np.maximum(1.0, vals.max(axis=-1, initial=0.0))
+    low = vals.min(axis=-1, initial=0.0)
+    bad = np.flatnonzero(low < -neg_tol * scale)
+    if bad.size:
+        k = bad[0]
+        raise ValueError(
+            f"matrix has eigenvalue {low.flat[k]} < -{neg_tol * scale.flat[k]}"
+        )
+    return np.where(vals < neg_tol * scale[..., None], 0.0, vals), vecs
 
 
-def _on_support(op: FloatOp, rank_tol: float, invert: bool) -> FloatOp:
+def _from_eigen(vals: np.ndarray, vecs: np.ndarray) -> FloatOp:
+    """vecs . diag(vals) . vecs^H, matrix by matrix."""
+    return (vecs * vals[..., None, :]) @ vecs.conj().swapaxes(-1, -2)
+
+
+def _support(vals: np.ndarray, vecs: np.ndarray, rank_tol: float, invert: bool) -> FloatOp:
     """The support rule: eigenvalues above rank_tol * max span the support.
-    Returns the projector onto it, or with `invert` the inverse on it."""
-    _check_hermitian(op)
-    vals, vecs = np.linalg.eigh(op)
-    top = vals.max(initial=0.0)
-    if top <= 0.0:
-        return np.zeros_like(op)
-    keep = vals > rank_tol * top
+    Returns the projector onto it, or with `invert` the inverse on it; zero
+    when no eigenvalue is positive."""
+    keep = vals > rank_tol * vals.max(axis=-1, initial=0.0)[..., None]
     factor = np.where(keep, 1.0, 0.0)
     if invert:
         factor = factor / np.where(keep, vals, 1.0)
-    return (vecs * factor) @ vecs.conj().T
+    return _from_eigen(factor, vecs)
+
+
+def psd_sqrt(op: FloatOp, neg_tol: float = 1e-10) -> FloatOp:
+    """Unique positive square root; noise-level eigenvalues are floored
+    (`_psd_eigh`).  A stack of matrices gets one root each."""
+    vals, vecs = _psd_eigh(op, neg_tol)
+    return _from_eigen(np.sqrt(vals), vecs)
+
+
+def _on_support(op: FloatOp, rank_tol: float, invert: bool) -> FloatOp:
+    _check_hermitian(op)
+    return _support(*np.linalg.eigh(op), rank_tol, invert)
 
 
 def support_inverse(op: FloatOp, rank_tol: float = 1e-10) -> FloatOp:
@@ -132,6 +160,38 @@ class InstrumentReport:
         )
 
 
+def _flatten(root) -> tuple[list, list[list[int]], list[dict[str, int]]]:
+    """The tree in pre-order, each node's children as positions, and for
+    each node the position of its nearest proper ancestor on each side
+    that has one."""
+    order: list = []
+    kids: list[list[int]] = []
+    above: list[dict[str, int]] = []
+
+    def visit(node, anc: dict[str, int]) -> int:
+        i = len(order)
+        order.append(node)
+        kids.append([])
+        above.append(anc)
+        inner = {**anc, node.side: i}
+        kids[i] = [visit(c, inner) for c in node.children]
+        return i
+
+    visit(root, {})
+    return order, kids, above
+
+
+def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """np.kron(a[i], b[i]) for each i of two stacks."""
+    n, da, db = len(a), a.shape[-1], b.shape[-1]
+    return (a[:, :, None, :, None] * b[:, None, :, None, :]).reshape(n, da * db, da * db)
+
+
+def _gram(ops: np.ndarray) -> np.ndarray:
+    """op^H . op for each matrix of a stack."""
+    return ops.conj().swapaxes(-1, -2) @ ops
+
+
 def realize(protocol: LOCCProtocol, rank_tol: float = 1e-10) -> KrausProtocol:
     """Per-branch local Kraus operators for a solved protocol tree.
 
@@ -140,50 +200,60 @@ def realize(protocol: LOCCProtocol, rank_tol: float = 1e-10) -> KrausProtocol:
     sqrt(value) . inverse(previous accumulation on its support).  A
     completion operator I - P(previous support) is attached to every
     measurement so each local POVM closes to the identity.
+
+    Per party, one stacked eigendecomposition of all its node values gives
+    each sqrt(value) as eigenvalues sqrt(lam) on the same eigenvectors, so
+    the support inverse and projector of that square root need no
+    decomposition of their own: they keep sqrt(lam) > rank_tol *
+    sqrt(lam_max).  One more stacked decomposition per party gives the
+    local square roots.
     """
     m = protocol.measurement
     coeffs = {"A": protocol.q, "B": protocol.p}
-
-    def value_of(node: TreeNode) -> FloatOp:
-        coords = _side_coords(m, node.side, node.terms, coeffs[node.side])
-        return _coords_to_float(coords, m.side_dim(node.side))
-
-    def build(node: TreeNode, acc_prev: dict[str, FloatOp]) -> KrausNode:
-        value = value_of(node)
-        local: Optional[FloatOp] = None
-        prev = acc_prev.get(node.side)
-        if prev is not None:
-            pinv = support_inverse(prev, rank_tol)
-            squared = pinv @ value @ pinv
+    order, kids, above = _flatten(protocol.tree.root)
+    value: list[FloatOp] = [None] * len(order)
+    local: list[Optional[FloatOp]] = [None] * len(order)
+    # Per side, the support projector of each node's sqrt(value), by position.
+    projector: dict[str, dict[int, FloatOp]] = {}
+    for side in ("A", "B"):
+        at = [i for i, node in enumerate(order) if node.side == side]
+        dim = m.side_dim(side)
+        for i in at:
+            coords = _side_coords(m, side, order[i].terms, coeffs[side])
+            value[i] = _coords_to_float(coords, dim)
+        lam, vecs = _psd_eigh(np.stack([value[i] for i in at]))
+        roots = np.sqrt(lam)
+        inverse = dict(zip(at, _support(roots, vecs, rank_tol, invert=True)))
+        projector[side] = dict(zip(at, _support(roots, vecs, rank_tol, invert=False)))
+        below = [(i, above[i][side]) for i in at if side in above[i]]
+        if below:
+            pinv = np.stack([inverse[k] for _, k in below])
+            squared = pinv @ np.stack([value[i] for i, _ in below]) @ pinv
             # Mathematically Hermitian; resymmetrize the rounding error away.
-            local = psd_sqrt((squared + squared.conj().T) / 2.0)
-        acc_here = psd_sqrt(value)
+            squared = (squared + squared.conj().swapaxes(-1, -2)) / 2.0
+            for (i, _), root in zip(below, psd_sqrt(squared)):
+                local[i] = root
+
+    built: list[KrausNode] = [None] * len(order)
+    # Reversed pre-order builds every child before its parent.
+    for i in reversed(range(len(order))):
+        node = order[i]
         completion = None
         if node.children:
             child_side = node.children[0].side
-            prev_child = acc_prev.get(child_side)
-            dim = m.side_dim(child_side)
-            if prev_child is None:
-                proj = np.eye(dim, dtype=complex)
-            else:
-                proj = support_projector(prev_child, rank_tol)
-            completion = np.eye(dim, dtype=complex) - proj
-        next_acc = dict(acc_prev)
-        next_acc[node.side] = acc_here
-        children = [build(c, next_acc) for c in node.children]
-        return KrausNode(
+            eye = np.eye(m.side_dim(child_side), dtype=complex)
+            k = above[i].get(child_side)
+            completion = eye - (eye if k is None else projector[child_side][k])
+        built[i] = KrausNode(
             side=node.side,
-            value=value,
-            local=local,
+            value=value[i],
+            local=local[i],
             completion=completion,
-            children=children,
+            children=[built[c] for c in kids[i]],
             leaf=node.leaf,
         )
-
-    root = protocol.tree.root
     # The two left-most nodes are "having done nothing": no local Kraus.
-    kroot = build(root, {})
-    return KrausProtocol(kroot, protocol, rank_tol)
+    return KrausProtocol(built[0], protocol, rank_tol)
 
 
 def verify_instrument(
@@ -197,53 +267,58 @@ def verify_instrument(
     (b) every leaf's accumulated path product reproduces
         weight * A_j (x) B_j;
     (c) the leaf operators sum to the identity on the joint space.
+
+    The support projectors of each party's node values come from one
+    stacked eigendecomposition, and every leaf's joint operator and target
+    from one stacked Kronecker product each.
     """
     protocol = kp.protocol
-    closure = 0.0
-    leaf_res = 0.0
-    completion_res = 0.0
-    total = np.zeros((m.dA * m.dB, m.dA * m.dB), dtype=complex)
+    order, kids, above = _flatten(kp.root)
+    eye = {"A": np.eye(m.dA, dtype=complex), "B": np.eye(m.dB, dtype=complex)}
 
     def norm(x: FloatOp) -> float:
         return float(np.max(np.abs(x)))
 
-    def walk(node: KrausNode, prods: dict[str, FloatOp], prev_support: dict[str, FloatOp]):
-        nonlocal closure, leaf_res, completion_res, total
-        prods = dict(prods)
+    # Per node, the path product of the local operators on each side; in
+    # pre-order every parent's is done before its children read it.
+    prods: list[dict[str, FloatOp]] = [eye] * len(order)
+    for i, node in enumerate(order):
         if node.local is not None:
-            prods[node.side] = node.local @ prods[node.side]
-        if node.leaf is not None:
-            pos_a = prods["A"].conj().T @ prods["A"]
-            pos_b = prods["B"].conj().T @ prods["B"]
-            joint = np.kron(pos_a, pos_b)
-            r = protocol.weights[node.leaf]
-            expected = float(r) * np.kron(
-                to_float(m.op("A", node.leaf.j)), to_float(m.op("B", node.leaf.j))
-            )
-            leaf_res = max(leaf_res, norm(joint - expected))
-            total += joint
-            return
-        child_side = node.children[0].side
-        if all(c.local is not None for c in node.children):
-            acc = sum(
-                (c.local.conj().T @ c.local for c in node.children),
-                np.zeros((m.side_dim(child_side),) * 2, dtype=complex),
-            )
-            proj = prev_support[child_side]
-            closure = max(closure, norm(acc - proj))
-            if node.completion is not None:
-                completion_res = max(
-                    completion_res, norm(node.completion @ prods[child_side])
-                )
-        next_support = dict(prev_support)
-        next_support[node.side] = support_projector(node.value, kp.rank_tol)
-        for c in node.children:
-            walk(c, prods, next_support)
+            prods[i] = {**prods[i], node.side: node.local @ prods[i][node.side]}
+        for c in kids[i]:
+            prods[c] = prods[i]
 
-    ident = {
-        "A": np.eye(m.dA, dtype=complex),
-        "B": np.eye(m.dB, dtype=complex),
-    }
-    walk(kp.root, dict(ident), dict(ident))
-    completeness = norm(total - np.eye(m.dA * m.dB, dtype=complex))
+    support: dict[int, FloatOp] = {}
+    for side in ("A", "B"):
+        inner = [i for i, node in enumerate(order) if node.side == side and node.children]
+        if inner:
+            values = np.stack([order[i].value for i in inner])
+            support.update(zip(inner, support_projector(values, kp.rank_tol)))
+
+    closure = 0.0
+    completion_res = 0.0
+    for i, node in enumerate(order):
+        if node.leaf is not None or any(c.local is None for c in node.children):
+            continue
+        child_side = node.children[0].side
+        acc = _gram(np.stack([c.local for c in node.children])).sum(axis=0)
+        k = above[i].get(child_side)
+        closure = max(closure, norm(acc - (eye[child_side] if k is None else support[k])))
+        if node.completion is not None:
+            completion_res = max(completion_res, norm(node.completion @ prods[i][child_side]))
+
+    leaves = [i for i, node in enumerate(order) if node.leaf is not None]
+    joint = _kron(
+        _gram(np.stack([prods[i]["A"] for i in leaves])),
+        _gram(np.stack([prods[i]["B"] for i in leaves])),
+    )
+    refs = [order[i].leaf for i in leaves]
+    targets = {side: {r.j: to_float(m.op(side, r.j)) for r in refs} for side in ("A", "B")}
+    weights = np.array([float(protocol.weights[r]) for r in refs])
+    expected = weights[:, None, None] * _kron(
+        np.stack([targets["A"][r.j] for r in refs]),
+        np.stack([targets["B"][r.j] for r in refs]),
+    )
+    leaf_res = norm(joint - expected)
+    completeness = norm(joint.sum(axis=0) - np.eye(m.dA * m.dB, dtype=complex))
     return InstrumentReport(closure, leaf_res, completeness, completion_res, tol)

@@ -189,6 +189,12 @@ class NoLoccCertificate:
 SynthesisOutcome = Union[LOCCProtocol, NoLoccCertificate]
 
 
+@functools.cache
+def _identity_coords(dim: int) -> RealVector:
+    """`vectorize` of the dim x dim identity."""
+    return vectorize(HermitianOp.identity(dim))
+
+
 def validate_measurement(m: SeparableMeasurement) -> list[Fraction]:
     """Strictly positive weights r with sum r_j A_j (x) B_j = identity.
 
@@ -196,7 +202,7 @@ def validate_measurement(m: SeparableMeasurement) -> list[Fraction]:
     finds none, NotASeparableMeasurement is raised.
     """
     n = m.n_outcomes
-    target = vectorize(HermitianOp.identity(m.dA * m.dB))
+    target = _identity_coords(m.dA * m.dB)
     vecs = m.product_vectors
     rows = []
     rhs = []
@@ -237,7 +243,7 @@ def _side_system(tree: Tree, m: SeparableMeasurement, side: str):
                 row[index[r]] -= vec[r][comp]
             rows.append(row)
             rhs.append(Fraction(0))
-    ident = vectorize(HermitianOp.identity(d))
+    ident = _identity_coords(d)
     for comp in range(vl):
         row = [Fraction(0)] * len(refs)
         for r in root_label:
@@ -453,14 +459,13 @@ def verify_protocol_exact(protocol: LOCCProtocol) -> None:
             raise ProtocolVerificationError("ledger constraint violated")
     root, second = tree.root, tree.root.children[0]
     for node in (root, second):
-        identity = vectorize(HermitianOp.identity(m.side_dim(node.side)))
-        if value(node.side, node.terms) != identity:
+        if value(node.side, node.terms) != _identity_coords(m.side_dim(node.side)):
             raise ProtocolVerificationError(f"{node.side} root is not the identity")
     weighted = (
         (protocol.q[r] * protocol.p[r], m.product_vectors[r.j - 1]) for r in leaf_refs(tree)
     )
     total = _coords_sum(weighted, (m.dA * m.dB) ** 2)
-    if total != vectorize(HermitianOp.identity(m.dA * m.dB)):
+    if total != _identity_coords(m.dA * m.dB):
         raise ProtocolVerificationError("leaf weights do not resolve the identity")
 
 
@@ -496,7 +501,7 @@ def synthesize(m: SeparableMeasurement, cfg: SearchConfig) -> SynthesisOutcome:
     trees_total = m.n_outcomes
     seen_sigs = {equivalence_signature(t) for t in frontier}
     seen_families: dict[str, list[frozenset[frozenset[int]]]] = {"A": [], "B": []}
-    cone_of = functools.cache(Cone)  # one Cone per distinct generator tuple
+    cones: dict[tuple[str, frozenset[int]], Cone] = {}  # one per side and label
     intersect = IntersectionMemo()
     rounds: list[RoundStats] = []
     capped = False
@@ -531,9 +536,10 @@ def synthesize(m: SeparableMeasurement, cfg: SearchConfig) -> SynthesisOutcome:
         for t in frontier:
             groups.setdefault(_root_key(t), []).append(t)
         keys = sorted(groups, key=lambda k: tuple(sorted(k)))
-        items = [
-            (key, cone_of(tuple(m.op(side, j) for j in sorted(key)))) for key in keys
-        ]
+        for key in keys:
+            if (side, key) not in cones:
+                cones[side, key] = Cone(tuple(m.op(side, j) for j in sorted(key)))
+        items = [(key, cones[side, key]) for key in keys]
         families, complete = mutually_intersecting_families(
             items,
             strict=True,

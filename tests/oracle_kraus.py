@@ -1,0 +1,125 @@
+"""Reference Kraus stage: one node at a time.
+
+`kraus_realization.realize` and `verify_instrument` worked this way before
+they moved to stacked eigendecompositions, one per party over all of its
+node values; the per-node walk is kept here as an oracle.  Each node's
+value is decomposed on its own: `psd_sqrt` gives its accumulation, and its
+children decompose that square root again for its support inverse and
+projector.  `verify_instrument_reference` takes one support projector and
+one Kronecker product per node.
+"""
+
+from __future__ import annotations
+
+from typing import Optional
+
+import numpy as np
+
+from loccsynth.kraus_realization import (
+    FloatOp,
+    InstrumentReport,
+    KrausNode,
+    KrausProtocol,
+    _coords_to_float,
+    psd_sqrt,
+    support_inverse,
+    support_projector,
+    to_float,
+)
+from loccsynth.protocol_tree import TreeNode
+from loccsynth.synthesis_engine import LOCCProtocol, _side_coords
+
+
+def realize_reference(protocol: LOCCProtocol, rank_tol: float = 1e-10) -> KrausProtocol:
+    m = protocol.measurement
+    coeffs = {"A": protocol.q, "B": protocol.p}
+
+    def value_of(node: TreeNode) -> FloatOp:
+        coords = _side_coords(m, node.side, node.terms, coeffs[node.side])
+        return _coords_to_float(coords, m.side_dim(node.side))
+
+    def build(node: TreeNode, acc_prev: dict[str, FloatOp]) -> KrausNode:
+        value = value_of(node)
+        local: Optional[FloatOp] = None
+        prev = acc_prev.get(node.side)
+        if prev is not None:
+            pinv = support_inverse(prev, rank_tol)
+            squared = pinv @ value @ pinv
+            # Mathematically Hermitian; resymmetrize the rounding error away.
+            local = psd_sqrt((squared + squared.conj().T) / 2.0)
+        acc_here = psd_sqrt(value)
+        completion = None
+        if node.children:
+            child_side = node.children[0].side
+            prev_child = acc_prev.get(child_side)
+            dim = m.side_dim(child_side)
+            if prev_child is None:
+                proj = np.eye(dim, dtype=complex)
+            else:
+                proj = support_projector(prev_child, rank_tol)
+            completion = np.eye(dim, dtype=complex) - proj
+        next_acc = dict(acc_prev)
+        next_acc[node.side] = acc_here
+        children = [build(c, next_acc) for c in node.children]
+        return KrausNode(
+            side=node.side,
+            value=value,
+            local=local,
+            completion=completion,
+            children=children,
+            leaf=node.leaf,
+        )
+
+    return KrausProtocol(build(protocol.tree.root, {}), protocol, rank_tol)
+
+
+def verify_instrument_reference(kp: KrausProtocol, m, tol: float = 1e-9) -> InstrumentReport:
+    protocol = kp.protocol
+    closure = 0.0
+    leaf_res = 0.0
+    completion_res = 0.0
+    total = np.zeros((m.dA * m.dB, m.dA * m.dB), dtype=complex)
+
+    def norm(x: FloatOp) -> float:
+        return float(np.max(np.abs(x)))
+
+    def walk(node: KrausNode, prods: dict[str, FloatOp], prev_support: dict[str, FloatOp]):
+        nonlocal closure, leaf_res, completion_res, total
+        prods = dict(prods)
+        if node.local is not None:
+            prods[node.side] = node.local @ prods[node.side]
+        if node.leaf is not None:
+            pos_a = prods["A"].conj().T @ prods["A"]
+            pos_b = prods["B"].conj().T @ prods["B"]
+            joint = np.kron(pos_a, pos_b)
+            r = protocol.weights[node.leaf]
+            expected = float(r) * np.kron(
+                to_float(m.op("A", node.leaf.j)), to_float(m.op("B", node.leaf.j))
+            )
+            leaf_res = max(leaf_res, norm(joint - expected))
+            total += joint
+            return
+        child_side = node.children[0].side
+        if all(c.local is not None for c in node.children):
+            acc = sum(
+                (c.local.conj().T @ c.local for c in node.children),
+                np.zeros((m.side_dim(child_side),) * 2, dtype=complex),
+            )
+            proj = prev_support[child_side]
+            closure = max(closure, norm(acc - proj))
+            if node.completion is not None:
+                completion_res = max(
+                    completion_res, norm(node.completion @ prods[child_side])
+                )
+        next_support = dict(prev_support)
+        next_support[node.side] = support_projector(node.value, kp.rank_tol)
+        for c in node.children:
+            walk(c, prods, next_support)
+
+    ident = {
+        "A": np.eye(m.dA, dtype=complex),
+        "B": np.eye(m.dB, dtype=complex),
+    }
+    walk(kp.root, dict(ident), dict(ident))
+    completeness = norm(total - np.eye(m.dA * m.dB, dtype=complex))
+    return InstrumentReport(closure, leaf_res, completeness, completion_res, tol)

@@ -62,6 +62,38 @@ def test_bundled_reports_match_golden(tmp_path):
         assert got[name] == want[name], name
 
 
+RESIDUALS = (
+    "closure_residual",
+    "leaf_residual",
+    "completeness_residual",
+    "completion_residual",
+)
+# Product bases and the do-nothing protocol realize without rounding.
+EXACT = ("product_basis_2x2.json", "product_basis_3x3.json", "single_identity.json")
+
+
+def test_bundled_instruments_verify_to_rounding(tmp_path):
+    # The golden reports drop the residuals; bound them here instead.
+    checked = 0
+    for max_rounds in (4, 8):
+        for path in sorted(DATA.glob("*.json")):
+            report_path = tmp_path / "report.json"
+            report_path.unlink(missing_ok=True)
+            frontend_cli.run(
+                path, max_rounds=max_rounds, report_path=report_path, out=io.StringIO()
+            )
+            instrument = json.loads(report_path.read_text()).get("instrument")
+            if instrument is None:
+                continue
+            checked += 1
+            residuals = [instrument[name] for name in RESIDUALS]
+            assert instrument["ok"], (path.name, max_rounds)
+            assert max(residuals) < 1e-12, (path.name, max_rounds, residuals)
+            if path.name in EXACT:
+                assert residuals == [0.0] * 4, (path.name, max_rounds, residuals)
+    assert checked == 12
+
+
 if __name__ == "__main__":
     import tempfile
 

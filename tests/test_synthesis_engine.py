@@ -405,17 +405,50 @@ def test_strict_lp_matches_the_max_min_slack_reference_on_criterion_6(monkeypatc
 
 
 def test_each_cone_is_built_once_per_run(monkeypatch):
+    # One Cone per side and label (the set of outcome indices a round
+    # groups its trees by), reused by every later round.  Equal operator
+    # tuples on two sides or under two labels get a Cone each: bennett9
+    # has such tuples, and no operator tuple is hashed to find them.
     built = []
     cone = synthesis_engine.Cone
 
     def counting(generators):
-        built.append(generators)
-        return cone(generators)
+        built.append(cone(generators))
+        return built[-1]
+
+    queried = []
+    families = synthesis_engine.mutually_intersecting_families
+
+    def recording(items, **kwargs):
+        queried.append(list(items))
+        return families(items, **kwargs)
 
     monkeypatch.setattr(synthesis_engine, "Cone", counting)
-    synthesize(BUILTIN["bennett9"](), SearchConfig(max_rounds=10))
-    assert built
-    assert len(set(built)) == len(built)
+    monkeypatch.setattr(synthesis_engine, "mutually_intersecting_families", recording)
+    out = synthesize(BUILTIN["bennett9"](), SearchConfig(max_rounds=10))
+    assert len(queried) == len(out.stats.rounds)
+    cone_of = {}
+    for stats, items in zip(out.stats.rounds, queried):
+        for label, c in items:
+            assert cone_of.setdefault((stats.side, label), c) is c
+    assert len(built) == len(cone_of)
+    assert {id(c) for c in built} == {id(c) for c in cone_of.values()}
+    assert len({c.generators for c in built}) < len(built)
+
+
+def test_no_cone_witness_is_read_during_synthesis(monkeypatch):
+    # The run's memo reads only whether a witness exists; building its
+    # common point (the only op_linear_combine call) must never happen.
+    config = SearchConfig(max_rounds=10, exhaustive=True)
+    runs = {name: make() for name, make in BUILTIN.items()}
+    want = {name: synthesize(m, config) for name, m in runs.items()}
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("a cone witness was read")
+
+    monkeypatch.setattr(cone_geometry, "op_linear_combine", unreachable)
+    for name, m in runs.items():
+        assert synthesize(m, config) == want[name], name
 
 
 def test_search_config_validation():
