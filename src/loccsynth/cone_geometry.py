@@ -501,9 +501,9 @@ def mutually_intersecting_families(
     negative search verdict built on this enumeration is not conclusive.
 
     Only whether each query's cones intersect is read, never a witness.
-    `intersect(cones, strict)` answers that when given (for example an
-    `IntersectionMemo` shared by every round of one run); otherwise each
-    query calls `cones_intersect`.
+    `intersect(cones, strict)` answers that; `synthesize` passes one
+    `IntersectionMemo` for every round of a run, and a fresh one serves
+    when none is given.
     """
     n = len(items)
     ids = [item[0] for item in items]
@@ -511,22 +511,19 @@ def mutually_intersecting_families(
     if len(set(ids)) != n:
         raise ValueError("item ids must be unique")
 
-    def meets(query: list[Cone]) -> bool:
-        if intersect is not None:
-            return intersect(query, strict)
-        return cones_intersect(query, strict=strict) is not None
-
+    if intersect is None:
+        intersect = IntersectionMemo()
     complete = True
     pair_ok = [[False] * n for _ in range(n)]
     for i, j in itertools.combinations(range(n), 2):
-        ok = meets([cones[i], cones[j]])
+        ok = intersect([cones[i], cones[j]], strict)
         pair_ok[i][j] = pair_ok[j][i] = ok
     adj = [{j for j in range(n) if j != i and pair_ok[i][j]} for i in range(n)]
 
     def joint(subset: tuple[int, ...]) -> bool:
         if len(subset) == 2:
             return pair_ok[subset[0]][subset[1]]
-        return meets([cones[i] for i in subset])
+        return intersect([cones[i] for i in subset], strict)
 
     verified: list[frozenset[int]] = []
     for clique in sorted(_max_cliques(n, adj), key=lambda c: tuple(sorted(c))):

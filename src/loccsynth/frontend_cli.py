@@ -20,7 +20,8 @@ report whose field order is fixed; the only varying fields live under
 "timing".
 
 Exit codes: 0 protocol found, 1 input error (bad file, bad measurement, bad
-flag, a protocol whose values no float can hold, or an output path that
+flag, a protocol whose values no float can hold or whose float Kraus
+realization fails its PSD or Hermitian check, or an output path that
 cannot be written, checked before the search), 2 no LOCC protocol (either
 certificate), 3 inconclusive because a search cap truncated enumeration, 4
 protocol found but the floating-point instrument check failed (the report
@@ -310,6 +311,10 @@ def run(
             # Entries that fit a float can still solve to values that do not.
             print(f"input error: protocol values beyond float range ({exc})", file=out)
             return 1
+        except ValueError as exc:
+            # Rounding can leave a float matrix outside the stage's tolerances.
+            print(f"input error: Kraus realization failed ({exc})", file=out)
+            return 1
         report["verdict"] = "LOCC_PROTOCOL"
         report["stats"] = _stats_dict(result.stats)
         report["protocol"] = {
@@ -405,7 +410,12 @@ def main(argv=None) -> int:
         "--rank-tol",
         type=float,
         default=1e-10,
-        help="relative eigenvalue cutoff for support decisions (default 1e-10)",
+        help=(
+            "support cutoff of the Kraus realization (default 1e-10): a node "
+            "value's eigenvalues below 1e-10*max(1, its largest) are zeroed "
+            "first, then the cutoff compares square roots, so every value "
+            "below 1e-5 acts alike"
+        ),
     )
     try:
         args = parser.parse_args(argv)

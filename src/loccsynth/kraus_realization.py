@@ -13,8 +13,9 @@ party's node values at once yields every square root together with the
 support inverse and projector of that root, and one more yields the local
 square roots.  Each matrix in a stack keeps its own Hermitian check,
 negative-eigenvalue check and scale, so stacking changes nothing but
-rounding.  `verify_instrument` stacks its support projectors per party and
-its leaf Kronecker products likewise.
+rounding.  `realize` is the only code that decides a support:
+`verify_instrument` checks the operators it built, completions included,
+and makes no eigendecomposition of its own.
 """
 
 from __future__ import annotations
@@ -24,20 +25,19 @@ from typing import Optional
 
 import numpy as np
 
-from .exact_algebra import HermitianOp, RealVector
+from .exact_algebra import HermitianOp, RealVector, vectorize
 from .protocol_tree import LeafRef, TreeNode
 from .synthesis_engine import LOCCProtocol, _side_coords
 
 FloatOp = np.ndarray
 
+# Tolerances relative to each matrix's scale: see `_psd_eigh`, `_check_hermitian`.
+NEG_TOL = 1e-10
+HERMITIAN_TOL = 1e-12
+
 
 def to_float(op: HermitianOp) -> FloatOp:
-    out = np.empty((op.dim, op.dim), dtype=complex)
-    for i in range(op.dim):
-        for j in range(op.dim):
-            e = op.entries[i][j]
-            out[i, j] = complex(float(e.re), float(e.im))
-    return out
+    return _coords_to_float(vectorize(op), op.dim)
 
 
 def _coords_to_float(coords: RealVector, dim: int) -> FloatOp:
@@ -55,36 +55,38 @@ def _coords_to_float(coords: RealVector, dim: int) -> FloatOp:
     return out
 
 
-def _check_hermitian(ops: FloatOp, tol: float = 1e-12) -> None:
+def _check_hermitian(ops: FloatOp) -> None:
     """Each matrix of `ops` (one matrix, or a stack of them along the first
-    axis) must be Hermitian within tol times its own scale."""
+    axis) must be Hermitian within HERMITIAN_TOL times its own scale."""
     scale = np.maximum(1.0, np.abs(ops).max(axis=(-2, -1)))
     skew = np.abs(ops - ops.conj().swapaxes(-1, -2)).max(axis=(-2, -1))
-    if np.any(skew >= tol * scale):
+    if np.any(skew >= HERMITIAN_TOL * scale):
         raise ValueError("operator is not Hermitian within tolerance")
 
 
-def _psd_eigh(ops: FloatOp, neg_tol: float = 1e-10) -> tuple[np.ndarray, np.ndarray]:
+def _psd_eigh(ops: FloatOp) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues and eigenvectors of PSD matrices, noise floored to zero.
 
-    An eigenvalue below -neg_tol (relative to the matrix's own scale) means
-    the exact pipeline upstream handed us something that is not PSD, which
-    is a bug, not a rounding artifact.  Eigenvalues within the tolerance
-    band around zero are set exactly to zero: a square root would otherwise
-    amplify rounding noise eps to sqrt(eps), large enough to corrupt later
-    support decisions.  Works on one matrix or a stack of them.
+    An eigenvalue below -NEG_TOL (relative to the matrix's own scale) raises
+    ValueError.  The exact values upstream are PSD, but the float products
+    formed from them are not exactly so: rounding in Minv . value . Minv
+    alone can push an eigenvalue that far below zero when Minv inverts an
+    eigenvalue near the floor.  Eigenvalues within the tolerance band around
+    zero are set exactly to zero: a square root would otherwise amplify
+    rounding noise eps to sqrt(eps), large enough to corrupt later support
+    decisions.  Works on one matrix or a stack of them.
     """
     _check_hermitian(ops)
     vals, vecs = np.linalg.eigh(ops)
     scale = np.maximum(1.0, vals.max(axis=-1, initial=0.0))
     low = vals.min(axis=-1, initial=0.0)
-    bad = np.flatnonzero(low < -neg_tol * scale)
+    bad = np.flatnonzero(low < -NEG_TOL * scale)
     if bad.size:
         k = bad[0]
         raise ValueError(
-            f"matrix has eigenvalue {low.flat[k]} < -{neg_tol * scale.flat[k]}"
+            f"matrix has eigenvalue {low.flat[k]} < -{NEG_TOL * scale.flat[k]}"
         )
-    return np.where(vals < neg_tol * scale[..., None], 0.0, vals), vecs
+    return np.where(vals < NEG_TOL * scale[..., None], 0.0, vals), vecs
 
 
 def _from_eigen(vals: np.ndarray, vecs: np.ndarray) -> FloatOp:
@@ -103,10 +105,10 @@ def _support(vals: np.ndarray, vecs: np.ndarray, rank_tol: float, invert: bool) 
     return _from_eigen(factor, vecs)
 
 
-def psd_sqrt(op: FloatOp, neg_tol: float = 1e-10) -> FloatOp:
+def psd_sqrt(op: FloatOp) -> FloatOp:
     """Unique positive square root; noise-level eigenvalues are floored
     (`_psd_eigh`).  A stack of matrices gets one root each."""
-    vals, vecs = _psd_eigh(op, neg_tol)
+    vals, vecs = _psd_eigh(op)
     return _from_eigen(np.sqrt(vals), vecs)
 
 
@@ -122,6 +124,8 @@ def support_inverse(op: FloatOp, rank_tol: float = 1e-10) -> FloatOp:
 
 
 def support_projector(op: FloatOp, rank_tol: float = 1e-10) -> FloatOp:
+    """Projector onto the support; with support_inverse, for one matrix alone
+    (the stacked stage decides supports in `realize`)."""
     return _on_support(op, rank_tol, invert=False)
 
 
@@ -256,24 +260,21 @@ def realize(protocol: LOCCProtocol, rank_tol: float = 1e-10) -> KrausProtocol:
     return KrausProtocol(built[0], protocol, rank_tol)
 
 
-def verify_instrument(
-    kp: KrausProtocol, m, tol: float = 1e-9
-) -> InstrumentReport:
-    """Numeric instrument checks.
+def verify_instrument(kp: KrausProtocol, m, tol: float = 1e-9) -> InstrumentReport:
+    """Numeric instrument checks on the operators `realize` built.
 
-    (a) at every measurement, the branch Kraus operators close to the
-        support projector of the previous accumulation (the completion
-        operator pads that to the identity);
+    (a) at every measurement, the branch Kraus operators and the attached
+        completion C form an instrument: sum K^H K = I - C;
     (b) every leaf's accumulated path product reproduces
         weight * A_j (x) B_j;
     (c) the leaf operators sum to the identity on the joint space.
 
-    The support projectors of each party's node values come from one
-    stacked eigendecomposition, and every leaf's joint operator and target
-    from one stacked Kronecker product each.
+    No support is decided here: C already holds the one `realize` chose.
+    Every leaf's joint operator and target come from one stacked Kronecker
+    product each.
     """
     protocol = kp.protocol
-    order, kids, above = _flatten(kp.root)
+    order, kids, _ = _flatten(kp.root)
     eye = {"A": np.eye(m.dA, dtype=complex), "B": np.eye(m.dB, dtype=complex)}
 
     def norm(x: FloatOp) -> float:
@@ -288,13 +289,6 @@ def verify_instrument(
         for c in kids[i]:
             prods[c] = prods[i]
 
-    support: dict[int, FloatOp] = {}
-    for side in ("A", "B"):
-        inner = [i for i, node in enumerate(order) if node.side == side and node.children]
-        if inner:
-            values = np.stack([order[i].value for i in inner])
-            support.update(zip(inner, support_projector(values, kp.rank_tol)))
-
     closure = 0.0
     completion_res = 0.0
     for i, node in enumerate(order):
@@ -302,10 +296,8 @@ def verify_instrument(
             continue
         child_side = node.children[0].side
         acc = _gram(np.stack([c.local for c in node.children])).sum(axis=0)
-        k = above[i].get(child_side)
-        closure = max(closure, norm(acc - (eye[child_side] if k is None else support[k])))
-        if node.completion is not None:
-            completion_res = max(completion_res, norm(node.completion @ prods[i][child_side]))
+        closure = max(closure, norm(acc - (eye[child_side] - node.completion)))
+        completion_res = max(completion_res, norm(node.completion @ prods[i][child_side]))
 
     leaves = [i for i, node in enumerate(order) if node.leaf is not None]
     joint = _kron(
@@ -313,12 +305,12 @@ def verify_instrument(
         _gram(np.stack([prods[i]["B"] for i in leaves])),
     )
     refs = [order[i].leaf for i in leaves]
-    targets = {side: {r.j: to_float(m.op(side, r.j)) for r in refs} for side in ("A", "B")}
+    targets = {
+        side: np.stack([_coords_to_float(m.vec(side, r.j), m.side_dim(side)) for r in refs])
+        for side in ("A", "B")
+    }
     weights = np.array([float(protocol.weights[r]) for r in refs])
-    expected = weights[:, None, None] * _kron(
-        np.stack([targets["A"][r.j] for r in refs]),
-        np.stack([targets["B"][r.j] for r in refs]),
-    )
+    expected = weights[:, None, None] * _kron(targets["A"], targets["B"])
     leaf_res = norm(joint - expected)
     completeness = norm(joint.sum(axis=0) - np.eye(m.dA * m.dB, dtype=complex))
     return InstrumentReport(closure, leaf_res, completeness, completion_res, tol)

@@ -6,7 +6,10 @@ node values; the per-node walk is kept here as an oracle.  Each node's
 value is decomposed on its own: `psd_sqrt` gives its accumulation, and its
 children decompose that square root again for its support inverse and
 projector.  `verify_instrument_reference` takes one support projector and
-one Kronecker product per node.
+one Kronecker product per node.  `verify_instrument` checks closure
+against the completions `realize` attached and decides no support itself;
+the reference decides each one, so it checks the stacked supports
+independently.
 """
 
 from __future__ import annotations

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -305,6 +306,85 @@ def test_failed_run_keeps_an_existing_report(tmp_path, capsys):
     assert run(path, report_path=rep) == 1
     assert "protocol values beyond float range" in capsys.readouterr().out
     assert rep.read_text() == "old report\n"
+
+
+def _threshold_doc(s, delta, rotate=False):
+    """dA = dB = 2 outcomes (diag(s,0), Z0), (diag(0,delta), Z0),
+    (diag(s,delta), Z1), (diag(1-s,1-delta), X+), (diag(1-s,1-delta), X-).
+
+    With `rotate`, every A operator is conjugated by the rotation
+    R = [[3/5, -4/5], [4/5, 3/5]]."""
+    c, t = (Fraction(3, 5), Fraction(4, 5)) if rotate else (Fraction(1), Fraction(0))
+
+    def a(x, y):
+        # R diag(x, y) R^T for R = [[c, -t], [t, c]].
+        off = (x - y) * c * t
+        return [
+            [entry(str(x * c * c + y * t * t)), entry(str(off))],
+            [entry(str(off)), entry(str(x * t * t + y * c * c))],
+        ]
+
+    half = entry("1/2")
+    z0 = [[entry("1"), entry("0")], [entry("0"), entry("0")]]
+    z1 = [[entry("0"), entry("0")], [entry("0"), entry("1")]]
+    xp = [[half, half], [half, half]]
+    xm = [[half, entry("-1/2")], [entry("-1/2"), half]]
+    pairs = [
+        (a(s, 0), z0),
+        (a(0, delta), z0),
+        (a(s, delta), z1),
+        (a(1 - s, 1 - delta), xp),
+        (a(1 - s, 1 - delta), xm),
+    ]
+    return {"dA": 2, "dB": 2, "outcomes": [{"A": x, "B": y} for x, y in pairs]}
+
+
+# Eigenvalues near the floor that the Kraus realization zeroes or keeps.
+CASE_A = (_threshold_doc(Fraction(1, 100), Fraction(1, 10**11)), [])
+CASE_B = (_threshold_doc(Fraction(1), Fraction(1, 10**8)), ["--rank-tol", "1e-6"])
+
+
+@pytest.mark.parametrize("case", [CASE_A, CASE_B], ids=["A", "B"])
+def test_near_floor_supports_verify(case, tmp_path, capsys):
+    # An eigenvalue near the floor, which realize zeroes (A) or keeps (B):
+    # the instrument verifies against the supports realize chose.
+    doc, flags = case
+    path, rep = tmp_path / "m.json", tmp_path / "report.json"
+    path.write_text(json.dumps(doc))
+    assert main([str(path), "--report", str(rep), *flags]) == 0
+    instrument = json.loads(rep.read_text())["instrument"]
+    assert instrument.pop("ok") is True
+    assert max(instrument.values()) < 1e-9, instrument
+    assert "instrument ok=True" in capsys.readouterr().out
+
+
+def test_rank_tol_below_the_floor_acts_alike(tmp_path, capsys):
+    # Eigenvalues below 1e-10 * max(1, max) are zeroed before the cutoff
+    # compares square roots, so 0, 1e-10 and 1e-6 keep the same supports.
+    doc, _ = CASE_B
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(doc))
+    reports = []
+    for i, flags in enumerate([["--rank-tol", "0"], [], ["--rank-tol", "1e-6"]]):
+        rep = tmp_path / f"report{i}.json"
+        assert main([str(path), "--report", str(rep), *flags]) == 0
+        report = json.loads(rep.read_text())
+        report.pop("timing")
+        reports.append(report)
+    assert reports[0] == reports[1] == reports[2]
+    capsys.readouterr()
+
+
+def test_kraus_realization_failure_is_an_input_error(tmp_path, capsys):
+    # Rounding in Minv . value . Minv alone gives an eigenvalue of -6.5e-8,
+    # which the float stage rejects; the CLI reports it instead of a traceback.
+    path, rep = tmp_path / "m.json", tmp_path / "report.json"
+    path.write_text(json.dumps(_threshold_doc(Fraction(1, 3), Fraction(101, 10**12), rotate=True)))
+    assert main([str(path), "--report", str(rep)]) == 1
+    out = capsys.readouterr().out
+    assert out.startswith("input error: Kraus realization failed (matrix has eigenvalue")
+    assert len(out.splitlines()) == 1
+    assert not rep.exists()
 
 
 def test_failed_instrument_check_exits_4(monkeypatch, tmp_path, capsys):

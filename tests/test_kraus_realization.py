@@ -101,7 +101,8 @@ def test_support_inverse_pseudoinverse_identity():
 
 def test_coords_to_float_matches_to_float():
     # Realization reads node values as exact coordinate sums; the floats
-    # must be the ones to_float gives on the same operator, bit for bit.
+    # must be the entries' own float conversions, bit for bit, and to_float
+    # gives the same.
     rng = random.Random(12)
     for d in (1, 2, 3, 4):
         for _ in range(20):
@@ -114,7 +115,10 @@ def test_coords_to_float_matches_to_float():
                     rows[i][j], rows[j][i] = (re, im), (re, -im)
             op = HermitianOp.from_rows(rows)
             got = _coords_to_float(vectorize(op), d)
-            assert got.tobytes() == to_float(op).tobytes()
+            want = np.array(
+                [[complex(float(e.re), float(e.im)) for e in row] for row in op.entries]
+            )
+            assert got.tobytes() == want.tobytes() == to_float(op).tobytes()
 
 
 # --- realize -----------------------------------------------------------------
@@ -197,3 +201,18 @@ def test_verifier_flags_wrong_weights():
     report = verify_instrument(realize(wrong), m, tol=1e-9)
     assert not report.ok
     assert report.leaf_residual > 1e-3
+
+
+def test_verifier_checks_the_operators_realize_built(monkeypatch):
+    # The supports are decided once, in realize: verify_instrument reads the
+    # completions it attached and decomposes nothing, nor reads rank_tol.
+    m = BUILTIN["example5"]()
+    kp = realize(_protocol(m))
+    want = verify_instrument(kp, m)
+
+    def no_eigh(*args, **kwargs):
+        raise AssertionError("verify_instrument decomposed a matrix")
+
+    monkeypatch.setattr(np.linalg, "eigh", no_eigh)
+    got = verify_instrument(dataclasses.replace(kp, rank_tol=None), m)
+    assert got == want and got.ok
