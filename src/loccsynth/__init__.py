@@ -58,7 +58,6 @@ from .kraus_realization import (
     KrausProtocol,
     psd_sqrt,
     realize,
-    support_inverse,
     verify_instrument,
 )
 from .frontend_cli import parse_measurement, write_measurement

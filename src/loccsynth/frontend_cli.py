@@ -32,7 +32,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import re
 import sys
@@ -250,15 +249,18 @@ def _check_writable(path) -> None:
         os.unlink(path)
 
 
+# The round budget when none is given; the caps default to SearchConfig's.
+DEFAULT_MAX_ROUNDS = 8
+
+
 def run(
     path,
-    max_rounds: int = 8,
+    max_rounds: int = DEFAULT_MAX_ROUNDS,
     exhaustive: bool = False,
-    family_cap: int = 12,
-    max_trees: int = 5000,
+    family_cap: int = SearchConfig.family_size_cap,
+    max_trees: int = SearchConfig.max_trees,
     dot_path=None,
     report_path=None,
-    rank_tol: float = 1e-10,
     out=None,
 ) -> int:
     """Parse, synthesize, realize, verify; write artifacts; return exit code.
@@ -276,8 +278,6 @@ def run(
             max_trees=max_trees,
             exhaustive=exhaustive,
         )
-        if not 0 <= rank_tol < math.inf:
-            raise ValueError(f"rank_tol must be finite and nonnegative, got {rank_tol}")
         m = read_measurement(path)
     except (ValueError, OSError) as exc:
         print(f"input error: {exc}", file=out)
@@ -305,7 +305,7 @@ def run(
     artifacts = []
     if isinstance(result, LOCCProtocol):
         try:
-            kp = realize(result, rank_tol=rank_tol)
+            kp = realize(result)
             instrument = verify_instrument(kp, m)
         except OverflowError as exc:
             # Entries that fit a float can still solve to values that do not.
@@ -387,10 +387,10 @@ def main(argv=None) -> int:
         "--max-rounds",
         "-L",
         type=int,
-        default=8,
+        default=DEFAULT_MAX_ROUNDS,
         help=(
-            "round budget (default 8); a search at L finds only protocols in "
-            "which Alice measures last, Bob-last protocols need L + 1"
+            "round budget (default %(default)s); a search at L finds only "
+            "protocols in which Alice measures last, Bob-last protocols need L + 1"
         ),
     )
     parser.add_argument(
@@ -399,24 +399,19 @@ def main(argv=None) -> int:
         help="never truncate family enumeration (may be very slow)",
     )
     parser.add_argument(
-        "--family-cap", type=int, default=12, help="family size cap (default 12)"
+        "--family-cap",
+        type=int,
+        default=SearchConfig.family_size_cap,
+        help="family size cap (default %(default)s)",
     )
     parser.add_argument(
-        "--max-trees", type=int, default=5000, help="toolbox size cap (default 5000)"
+        "--max-trees",
+        type=int,
+        default=SearchConfig.max_trees,
+        help="toolbox size cap (default %(default)s)",
     )
     parser.add_argument("--dot", metavar="PATH", help="write the protocol tree as DOT")
     parser.add_argument("--report", metavar="PATH", help="write a JSON run report")
-    parser.add_argument(
-        "--rank-tol",
-        type=float,
-        default=1e-10,
-        help=(
-            "support cutoff of the Kraus realization (default 1e-10): a node "
-            "value's eigenvalues below 1e-10*max(1, its largest) are zeroed "
-            "first, then the cutoff compares square roots, so every value "
-            "below 1e-5 acts alike"
-        ),
-    )
     try:
         args = parser.parse_args(argv)
     except _FlagError as exc:
@@ -430,7 +425,6 @@ def main(argv=None) -> int:
         max_trees=args.max_trees,
         dot_path=args.dot,
         report_path=args.report,
-        rank_tol=args.rank_tol,
     )
 
 

@@ -13,9 +13,12 @@ party's node values at once yields every square root together with the
 support inverse and projector of that root, and one more yields the local
 square roots.  Each matrix in a stack keeps its own Hermitian check,
 negative-eigenvalue check and scale, so stacking changes nothing but
-rounding.  `realize` is the only code that decides a support:
-`verify_instrument` checks the operators it built, completions included,
-and makes no eigendecomposition of its own.
+rounding.  The stage has one floor and no knobs: eigenvalues below NEG_TOL
+times a matrix's scale are zeroed (`_psd_eigh`), and a support is spanned
+by the eigenvalues that floor leaves nonzero.  `realize` is the only code
+that decides a support: `verify_instrument` checks the operators it built,
+completions included, against INSTRUMENT_TOL and makes no
+eigendecomposition of its own.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ from typing import Optional
 
 import numpy as np
 
-from .exact_algebra import HermitianOp, RealVector, vectorize
+from .exact_algebra import RealVector
 from .protocol_tree import LeafRef, TreeNode
 from .synthesis_engine import LOCCProtocol, _side_coords
 
@@ -34,15 +37,13 @@ FloatOp = np.ndarray
 # Tolerances relative to each matrix's scale: see `_psd_eigh`, `_check_hermitian`.
 NEG_TOL = 1e-10
 HERMITIAN_TOL = 1e-12
-
-
-def to_float(op: HermitianOp) -> FloatOp:
-    return _coords_to_float(vectorize(op), op.dim)
+# Every residual of a valid instrument is below this: see `InstrumentReport.ok`.
+INSTRUMENT_TOL = 1e-9
 
 
 def _coords_to_float(coords: RealVector, dim: int) -> FloatOp:
     """The float matrix whose exact `vectorize` coordinates are `coords`:
-    entry for entry what `to_float` gives on that operator."""
+    entry for entry the float conversions of that operator's entries."""
     out = np.empty((dim, dim), dtype=complex)
     k = dim
     for i in range(dim):
@@ -94,39 +95,11 @@ def _from_eigen(vals: np.ndarray, vecs: np.ndarray) -> FloatOp:
     return (vecs * vals[..., None, :]) @ vecs.conj().swapaxes(-1, -2)
 
 
-def _support(vals: np.ndarray, vecs: np.ndarray, rank_tol: float, invert: bool) -> FloatOp:
-    """The support rule: eigenvalues above rank_tol * max span the support.
-    Returns the projector onto it, or with `invert` the inverse on it; zero
-    when no eigenvalue is positive."""
-    keep = vals > rank_tol * vals.max(axis=-1, initial=0.0)[..., None]
-    factor = np.where(keep, 1.0, 0.0)
-    if invert:
-        factor = factor / np.where(keep, vals, 1.0)
-    return _from_eigen(factor, vecs)
-
-
 def psd_sqrt(op: FloatOp) -> FloatOp:
     """Unique positive square root; noise-level eigenvalues are floored
     (`_psd_eigh`).  A stack of matrices gets one root each."""
     vals, vecs = _psd_eigh(op)
     return _from_eigen(np.sqrt(vals), vecs)
-
-
-def _on_support(op: FloatOp, rank_tol: float, invert: bool) -> FloatOp:
-    _check_hermitian(op)
-    return _support(*np.linalg.eigh(op), rank_tol, invert)
-
-
-def support_inverse(op: FloatOp, rank_tol: float = 1e-10) -> FloatOp:
-    """Inverse on the support: eigenvalues above rank_tol * max are
-    inverted, the rest zeroed."""
-    return _on_support(op, rank_tol, invert=True)
-
-
-def support_projector(op: FloatOp, rank_tol: float = 1e-10) -> FloatOp:
-    """Projector onto the support; with support_inverse, for one matrix alone
-    (the stacked stage decides supports in `realize`)."""
-    return _on_support(op, rank_tol, invert=False)
 
 
 @dataclass
@@ -143,7 +116,6 @@ class KrausNode:
 class KrausProtocol:
     root: KrausNode
     protocol: LOCCProtocol
-    rank_tol: float
 
 
 @dataclass
@@ -152,15 +124,14 @@ class InstrumentReport:
     leaf_residual: float
     completeness_residual: float
     completion_residual: float
-    tol: float
 
     @property
     def ok(self) -> bool:
         return (
-            self.closure_residual < self.tol
-            and self.leaf_residual < self.tol
-            and self.completeness_residual < self.tol
-            and self.completion_residual < self.tol
+            self.closure_residual < INSTRUMENT_TOL
+            and self.leaf_residual < INSTRUMENT_TOL
+            and self.completeness_residual < INSTRUMENT_TOL
+            and self.completion_residual < INSTRUMENT_TOL
         )
 
 
@@ -196,7 +167,7 @@ def _gram(ops: np.ndarray) -> np.ndarray:
     return ops.conj().swapaxes(-1, -2) @ ops
 
 
-def realize(protocol: LOCCProtocol, rank_tol: float = 1e-10) -> KrausProtocol:
+def realize(protocol: LOCCProtocol) -> KrausProtocol:
     """Per-branch local Kraus operators for a solved protocol tree.
 
     The accumulated positive operator at a node is sqrt(value); the local
@@ -208,9 +179,9 @@ def realize(protocol: LOCCProtocol, rank_tol: float = 1e-10) -> KrausProtocol:
     Per party, one stacked eigendecomposition of all its node values gives
     each sqrt(value) as eigenvalues sqrt(lam) on the same eigenvectors, so
     the support inverse and projector of that square root need no
-    decomposition of their own: they keep sqrt(lam) > rank_tol *
-    sqrt(lam_max).  One more stacked decomposition per party gives the
-    local square roots.
+    decomposition of their own: the support is spanned by the eigenvalues
+    the NEG_TOL floor leaves nonzero.  One more stacked decomposition per
+    party gives the local square roots.
     """
     m = protocol.measurement
     coeffs = {"A": protocol.q, "B": protocol.p}
@@ -227,8 +198,10 @@ def realize(protocol: LOCCProtocol, rank_tol: float = 1e-10) -> KrausProtocol:
             value[i] = _coords_to_float(coords, dim)
         lam, vecs = _psd_eigh(np.stack([value[i] for i in at]))
         roots = np.sqrt(lam)
-        inverse = dict(zip(at, _support(roots, vecs, rank_tol, invert=True)))
-        projector[side] = dict(zip(at, _support(roots, vecs, rank_tol, invert=False)))
+        # The support: the eigenvalues the floor left nonzero.
+        keep = np.where(roots > 0, 1.0, 0.0)
+        inverse = dict(zip(at, _from_eigen(keep / np.where(keep, roots, 1.0), vecs)))
+        projector[side] = dict(zip(at, _from_eigen(keep, vecs)))
         below = [(i, above[i][side]) for i in at if side in above[i]]
         if below:
             pinv = np.stack([inverse[k] for _, k in below])
@@ -257,10 +230,10 @@ def realize(protocol: LOCCProtocol, rank_tol: float = 1e-10) -> KrausProtocol:
             leaf=node.leaf,
         )
     # The two left-most nodes are "having done nothing": no local Kraus.
-    return KrausProtocol(built[0], protocol, rank_tol)
+    return KrausProtocol(built[0], protocol)
 
 
-def verify_instrument(kp: KrausProtocol, m, tol: float = 1e-9) -> InstrumentReport:
+def verify_instrument(kp: KrausProtocol, m) -> InstrumentReport:
     """Numeric instrument checks on the operators `realize` built.
 
     (a) at every measurement, the branch Kraus operators and the attached
@@ -269,6 +242,7 @@ def verify_instrument(kp: KrausProtocol, m, tol: float = 1e-9) -> InstrumentRepo
         weight * A_j (x) B_j;
     (c) the leaf operators sum to the identity on the joint space.
 
+    `InstrumentReport.ok` holds when every residual is below INSTRUMENT_TOL.
     No support is decided here: C already holds the one `realize` chose.
     Every leaf's joint operator and target come from one stacked Kronecker
     product each.
@@ -313,4 +287,4 @@ def verify_instrument(kp: KrausProtocol, m, tol: float = 1e-9) -> InstrumentRepo
     expected = weights[:, None, None] * _kron(targets["A"], targets["B"])
     leaf_res = norm(joint - expected)
     completeness = norm(joint.sum(axis=0) - np.eye(m.dA * m.dB, dtype=complex))
-    return InstrumentReport(closure, leaf_res, completeness, completion_res, tol)
+    return InstrumentReport(closure, leaf_res, completeness, completion_res)

@@ -10,6 +10,12 @@ one Kronecker product per node.  `verify_instrument` checks closure
 against the completions `realize` attached and decides no support itself;
 the reference decides each one, so it checks the stacked supports
 independently.
+
+The reference keeps its own support rule, eigenvalues above rank_tol times
+the largest (rank_tol = 1e-10 by default), so the supports the stage takes
+from its NEG_TOL floor are checked against a rule it does not share.
+`support_inverse`, `support_projector` and `to_float` decompose or convert
+one operator alone; nothing in the package needs them.
 """
 
 from __future__ import annotations
@@ -18,22 +24,52 @@ from typing import Optional
 
 import numpy as np
 
+from loccsynth.exact_algebra import HermitianOp, vectorize
 from loccsynth.kraus_realization import (
     FloatOp,
     InstrumentReport,
     KrausNode,
     KrausProtocol,
+    _check_hermitian,
     _coords_to_float,
+    _from_eigen,
     psd_sqrt,
-    support_inverse,
-    support_projector,
-    to_float,
 )
 from loccsynth.protocol_tree import TreeNode
 from loccsynth.synthesis_engine import LOCCProtocol, _side_coords
 
+RANK_TOL = 1e-10
 
-def realize_reference(protocol: LOCCProtocol, rank_tol: float = 1e-10) -> KrausProtocol:
+
+def to_float(op: HermitianOp) -> FloatOp:
+    return _coords_to_float(vectorize(op), op.dim)
+
+
+def _on_support(op: FloatOp, rank_tol: float, invert: bool) -> FloatOp:
+    """The reference support rule: eigenvalues above rank_tol * max span the
+    support.  Returns the projector onto it, or with `invert` the inverse
+    on it; zero when no eigenvalue is positive.  One matrix or a stack."""
+    _check_hermitian(op)
+    vals, vecs = np.linalg.eigh(op)
+    keep = vals > rank_tol * vals.max(axis=-1, initial=0.0)[..., None]
+    factor = np.where(keep, 1.0, 0.0)
+    if invert:
+        factor = factor / np.where(keep, vals, 1.0)
+    return _from_eigen(factor, vecs)
+
+
+def support_inverse(op: FloatOp, rank_tol: float = RANK_TOL) -> FloatOp:
+    """Inverse on the support: eigenvalues above rank_tol * max are
+    inverted, the rest zeroed."""
+    return _on_support(op, rank_tol, invert=True)
+
+
+def support_projector(op: FloatOp, rank_tol: float = RANK_TOL) -> FloatOp:
+    """Projector onto the support under the same rule."""
+    return _on_support(op, rank_tol, invert=False)
+
+
+def realize_reference(protocol: LOCCProtocol, rank_tol: float = RANK_TOL) -> KrausProtocol:
     m = protocol.measurement
     coeffs = {"A": protocol.q, "B": protocol.p}
 
@@ -73,10 +109,12 @@ def realize_reference(protocol: LOCCProtocol, rank_tol: float = 1e-10) -> KrausP
             leaf=node.leaf,
         )
 
-    return KrausProtocol(build(protocol.tree.root, {}), protocol, rank_tol)
+    return KrausProtocol(build(protocol.tree.root, {}), protocol)
 
 
-def verify_instrument_reference(kp: KrausProtocol, m, tol: float = 1e-9) -> InstrumentReport:
+def verify_instrument_reference(
+    kp: KrausProtocol, m, rank_tol: float = RANK_TOL
+) -> InstrumentReport:
     protocol = kp.protocol
     closure = 0.0
     leaf_res = 0.0
@@ -115,7 +153,7 @@ def verify_instrument_reference(kp: KrausProtocol, m, tol: float = 1e-9) -> Inst
                     completion_res, norm(node.completion @ prods[child_side])
                 )
         next_support = dict(prev_support)
-        next_support[node.side] = support_projector(node.value, kp.rank_tol)
+        next_support[node.side] = support_projector(node.value, rank_tol)
         for c in node.children:
             walk(c, prods, next_support)
 
@@ -125,4 +163,4 @@ def verify_instrument_reference(kp: KrausProtocol, m, tol: float = 1e-9) -> Inst
     }
     walk(kp.root, dict(ident), dict(ident))
     completeness = norm(total - np.eye(m.dA * m.dB, dtype=complex))
-    return InstrumentReport(closure, leaf_res, completeness, completion_res, tol)
+    return InstrumentReport(closure, leaf_res, completeness, completion_res)

@@ -24,7 +24,7 @@ from loccsynth import synthesis_engine
 from loccsynth.cone_geometry import Cone, cones_intersect, proportional
 from loccsynth.exact_algebra import HermitianOp, kron, op_linear_combine
 from loccsynth.fixtures import BUILTIN
-from loccsynth.kraus_realization import realize, verify_instrument
+from loccsynth.kraus_realization import INSTRUMENT_TOL, realize, verify_instrument
 from loccsynth.protocol_tree import (
     LeafRef,
     collapse_congruent,
@@ -105,13 +105,14 @@ def test_criterion_2_projective_and_conditional_protocols():
         ("product basis 3x3", BUILTIN["product_basis_3x3"]()),
         ("conditional basis", BUILTIN["conditional_basis_2x2"]()),
     ]
+    assert INSTRUMENT_TOL == FLOAT_TOL
     for name, m in cases:
         started = time.monotonic()
         out = _synth(m, 4)
         elapsed = time.monotonic() - started
         assert isinstance(out, LOCCProtocol), name
         _assert_identity_roots(out)
-        report = verify_instrument(realize(out), m, tol=FLOAT_TOL)
+        report = verify_instrument(realize(out), m)
         assert report.ok, (name, report)
         assert elapsed < RUNTIME_LIMIT_S, name
     _passed("criterion 2: projective and conditional bases close to identity roots")
@@ -241,6 +242,7 @@ def test_criterion_5_nothing_can_merge():
 
 
 def test_criterion_6_randomized_invariance_suite():
+    assert INSTRUMENT_TOL == FLOAT_TOL
     protocols = 0
     refutations = 0
     for i in range(500):
@@ -257,7 +259,7 @@ def test_criterion_6_randomized_invariance_suite():
                 assert isinstance(out, LOCCProtocol)
                 assert out.stats.rounds_completed == base.stats.rounds_completed
                 verify_protocol_exact(out)
-                report = verify_instrument(realize(out), out.measurement, tol=FLOAT_TOL)
+                report = verify_instrument(realize(out), out.measurement)
                 assert report.ok, (i, report)
         else:
             refutations += 1

@@ -243,8 +243,8 @@ def test_run_rejects_deeply_nested_json(tmp_path, capsys):
         (["-L", "0"], "max_rounds must be at least 1"),
         (["--family-cap", "0"], "family_size_cap must be at least 1"),
         (["--max-trees", "0"], "max_trees must be at least 1"),
-        (["--rank-tol", "nan"], "rank_tol must be finite and nonnegative"),
-        (["--rank-tol", "-1"], "rank_tol must be finite and nonnegative"),
+        # The Kraus stage's supports follow its one floor; no flag moves them.
+        (["--rank-tol", "1e-10"], "unrecognized arguments: --rank-tol 1e-10"),
     ],
 )
 def test_bad_flags_are_input_errors(flags, message, tmp_path, capsys):
@@ -253,6 +253,7 @@ def test_bad_flags_are_input_errors(flags, message, tmp_path, capsys):
     assert code == 1
     out = capsys.readouterr().out
     assert out.startswith("input error: ") and message in out
+    assert len(out.splitlines()) == 1
     assert not rep.exists()
 
 
@@ -340,39 +341,21 @@ def _threshold_doc(s, delta, rotate=False):
 
 
 # Eigenvalues near the floor that the Kraus realization zeroes or keeps.
-CASE_A = (_threshold_doc(Fraction(1, 100), Fraction(1, 10**11)), [])
-CASE_B = (_threshold_doc(Fraction(1), Fraction(1, 10**8)), ["--rank-tol", "1e-6"])
+CASE_A = _threshold_doc(Fraction(1, 100), Fraction(1, 10**11))
+CASE_B = _threshold_doc(Fraction(1), Fraction(1, 10**8))
 
 
-@pytest.mark.parametrize("case", [CASE_A, CASE_B], ids=["A", "B"])
-def test_near_floor_supports_verify(case, tmp_path, capsys):
+@pytest.mark.parametrize("doc", [CASE_A, CASE_B], ids=["A", "B"])
+def test_near_floor_supports_verify(doc, tmp_path, capsys):
     # An eigenvalue near the floor, which realize zeroes (A) or keeps (B):
     # the instrument verifies against the supports realize chose.
-    doc, flags = case
     path, rep = tmp_path / "m.json", tmp_path / "report.json"
     path.write_text(json.dumps(doc))
-    assert main([str(path), "--report", str(rep), *flags]) == 0
+    assert main([str(path), "--report", str(rep)]) == 0
     instrument = json.loads(rep.read_text())["instrument"]
     assert instrument.pop("ok") is True
     assert max(instrument.values()) < 1e-9, instrument
     assert "instrument ok=True" in capsys.readouterr().out
-
-
-def test_rank_tol_below_the_floor_acts_alike(tmp_path, capsys):
-    # Eigenvalues below 1e-10 * max(1, max) are zeroed before the cutoff
-    # compares square roots, so 0, 1e-10 and 1e-6 keep the same supports.
-    doc, _ = CASE_B
-    path = tmp_path / "m.json"
-    path.write_text(json.dumps(doc))
-    reports = []
-    for i, flags in enumerate([["--rank-tol", "0"], [], ["--rank-tol", "1e-6"]]):
-        rep = tmp_path / f"report{i}.json"
-        assert main([str(path), "--report", str(rep), *flags]) == 0
-        report = json.loads(rep.read_text())
-        report.pop("timing")
-        reports.append(report)
-    assert reports[0] == reports[1] == reports[2]
-    capsys.readouterr()
 
 
 def test_kraus_realization_failure_is_an_input_error(tmp_path, capsys):
@@ -389,7 +372,7 @@ def test_kraus_realization_failure_is_an_input_error(tmp_path, capsys):
 
 def test_failed_instrument_check_exits_4(monkeypatch, tmp_path, capsys):
     def failing(kp, m):
-        return InstrumentReport(1.0, 0.0, 0.0, 0.0, 1e-9)
+        return InstrumentReport(1.0, 0.0, 0.0, 0.0)
 
     monkeypatch.setattr(frontend_cli, "verify_instrument", failing)
     rep = tmp_path / "report.json"

@@ -12,10 +12,10 @@ import numpy as np
 import pytest
 
 from helpers import permute_outcomes, random_rescale, random_small_measurement
-from oracle_kraus import realize_reference, verify_instrument_reference
+from oracle_kraus import realize_reference, support_projector, verify_instrument_reference
 
 from loccsynth.fixtures import BUILTIN
-from loccsynth.kraus_realization import psd_sqrt, realize, support_projector, verify_instrument
+from loccsynth.kraus_realization import psd_sqrt, realize, verify_instrument
 from loccsynth.synthesis_engine import LOCCProtocol, SearchConfig, synthesize
 
 CLOSE = 1e-12

@@ -7,16 +7,11 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from oracle_kraus import support_inverse, to_float
+
 from loccsynth.exact_algebra import HermitianOp, vectorize
 from loccsynth.fixtures import BUILTIN
-from loccsynth.kraus_realization import (
-    _coords_to_float,
-    psd_sqrt,
-    realize,
-    support_inverse,
-    to_float,
-    verify_instrument,
-)
+from loccsynth.kraus_realization import _coords_to_float, psd_sqrt, realize, verify_instrument
 from loccsynth.synthesis_engine import (
     LOCCProtocol,
     SearchConfig,
@@ -63,7 +58,7 @@ def test_sqrt_rejects_clearly_negative():
         psd_sqrt(np.diag([1.0, -1e-6]).astype(complex))
 
 
-# --- support_inverse ---------------------------------------------------------
+# --- support_inverse (the reference stage's, in oracle_kraus) ---------------
 
 
 def test_support_inverse_diagonal():
@@ -178,7 +173,7 @@ def test_instruments_verify_for_all_protocol_fixtures():
     ):
         protocol = _protocol(m)
         kp = realize(protocol)
-        report = verify_instrument(kp, m, tol=1e-9)
+        report = verify_instrument(kp, m)
         assert report.ok, report
         assert report.completion_residual < 1e-10
 
@@ -187,7 +182,7 @@ def test_leaf_paths_match_exact_operators():
     m = BUILTIN["example5"]()
     protocol = _protocol(m)
     kp = realize(protocol)
-    report = verify_instrument(kp, m, tol=1e-9)
+    report = verify_instrument(kp, m)
     assert report.leaf_residual < 1e-9
 
 
@@ -198,14 +193,14 @@ def test_verifier_flags_wrong_weights():
         protocol,
         weights={r: v * 2 for r, v in protocol.weights.items()},
     )
-    report = verify_instrument(realize(wrong), m, tol=1e-9)
+    report = verify_instrument(realize(wrong), m)
     assert not report.ok
     assert report.leaf_residual > 1e-3
 
 
 def test_verifier_checks_the_operators_realize_built(monkeypatch):
     # The supports are decided once, in realize: verify_instrument reads the
-    # completions it attached and decomposes nothing, nor reads rank_tol.
+    # completions it attached and decomposes nothing.
     m = BUILTIN["example5"]()
     kp = realize(_protocol(m))
     want = verify_instrument(kp, m)
@@ -214,5 +209,5 @@ def test_verifier_checks_the_operators_realize_built(monkeypatch):
         raise AssertionError("verify_instrument decomposed a matrix")
 
     monkeypatch.setattr(np.linalg, "eigh", no_eigh)
-    got = verify_instrument(dataclasses.replace(kp, rank_tol=None), m)
+    got = verify_instrument(kp, m)
     assert got == want and got.ok
