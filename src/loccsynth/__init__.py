@@ -8,10 +8,8 @@ that none exists within, or regardless of, the allowed number of rounds.
 
 from .exact_algebra import (
     ExactComplex,
-    ExactScalar,
     HermitianOp,
     is_psd,
-    kron,
     op_linear_combine,
     rank_one,
     vectorize,

@@ -13,11 +13,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence, Union
 
-# An exact scalar is an arbitrary-precision rational.  fractions.Fraction
-# already maintains the reduced-form invariants (positive denominator,
-# gcd-free) after every operation.
-ExactScalar = Fraction
-
 RationalLike = Union[Fraction, int, str]
 
 # A vectorized Hermitian operator: length d**2 tuple of exact reals.
@@ -129,9 +124,6 @@ class HermitianOp:
             [[values[i] if i == j else 0 for j in range(d)] for i in range(d)]
         )
 
-    def entry(self, i: int, j: int) -> ExactComplex:
-        return self.entries[i][j]
-
     def add(self, other: "HermitianOp") -> "HermitianOp":
         if self.dim != other.dim:
             raise ValueError("dimension mismatch")
@@ -165,20 +157,6 @@ def rank_one(amplitudes: Sequence[EntryLike], scale: RationalLike = 1) -> Hermit
     f = _frac(scale)
     rows = [[(v[i] * v[j].conj()).scaled(f) for j in range(len(v))] for i in range(len(v))]
     return HermitianOp(len(v), tuple(tuple(r) for r in rows))
-
-
-def kron(a: HermitianOp, b: HermitianOp) -> HermitianOp:
-    """Tensor product; result dimension is a.dim * b.dim."""
-    d = a.dim * b.dim
-    rows = []
-    for i in range(d):
-        ia, ib = divmod(i, b.dim)
-        row = []
-        for j in range(d):
-            ja, jb = divmod(j, b.dim)
-            row.append(a.entries[ia][ja] * b.entries[ib][jb])
-        rows.append(tuple(row))
-    return HermitianOp(d, tuple(rows))
 
 
 def vectorize(op: HermitianOp) -> RealVector:

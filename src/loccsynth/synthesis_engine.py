@@ -30,7 +30,7 @@ from .cone_geometry import (
     ray_key,
     strict_positive_solution,
 )
-from .exact_algebra import HermitianOp, RealVector, is_psd, kron, vectorize
+from .exact_algebra import HermitianOp, RealVector, is_psd, vectorize
 from .protocol_tree import (
     LeafRef,
     OpConstraint,
@@ -70,10 +70,16 @@ class SeparableMeasurement:
     """Indexed product positive operators (A_j, B_j), j = 1..n.
 
     Each operator's coordinate vector (`vec`) and each outcome's product
-    vector `vectorize(A_j (x) B_j)` (`product_vectors`) are computed once
-    per measurement and cached on it, outside the dataclass fields, so
-    equality and repr are unchanged.  The weight LP, the tree systems and
-    `verify_protocol_exact` all read them.
+    vector (`product_vectors`) are computed once per measurement and
+    cached on it, outside the dataclass fields, so equality and repr are
+    unchanged.  The weight LP, the tree systems and `verify_protocol_exact`
+    all read them.
+
+    A product vector is in the tensor-product basis: `vec(A_j) (x) vec(B_j)`,
+    the outer product of the two sides' vectors.  `vec (x) vec` is a linear
+    bijection from Herm(dA) (x) Herm(dB) onto Herm(dA*dB), so two product
+    operators are equal, or positive multiples of each other, exactly when
+    their product vectors are.
     """
 
     dA: int
@@ -102,8 +108,9 @@ class SeparableMeasurement:
 
     @functools.cached_property
     def product_vectors(self) -> tuple[RealVector, ...]:
-        """`vectorize(kron(A_j, B_j))` for each outcome, in outcome order."""
-        return tuple(vectorize(kron(a, b)) for a, b in self.outcomes)
+        """`vec(A_j) (x) vec(B_j)` for each outcome, in outcome order."""
+        sides = self._side_vectors
+        return tuple(_outer(a, b) for a, b in zip(sides["A"], sides["B"]))
 
     @functools.cached_property
     def _side_vectors(self) -> dict[str, tuple[RealVector, ...]]:
@@ -137,8 +144,13 @@ class SearchConfig:
 
     def __post_init__(self) -> None:
         for name in ("max_rounds", "family_size_cap", "max_trees"):
-            if getattr(self, name) < 1:
+            value = getattr(self, name)
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise ValueError(f"{name} must be an integer, not {value!r}")
+            if value < 1:
                 raise ValueError(f"{name} must be at least 1")
+        if not isinstance(self.exhaustive, bool):
+            raise ValueError(f"exhaustive must be a bool, not {self.exhaustive!r}")
 
 
 @dataclass(frozen=True)
@@ -195,21 +207,22 @@ def _identity_coords(dim: int) -> RealVector:
     return vectorize(HermitianOp.identity(dim))
 
 
+@functools.cache
+def _product_identity(dA: int, dB: int) -> RealVector:
+    """`vec(I_A) (x) vec(I_B)`: the identity in product-vector coordinates."""
+    return _outer(_identity_coords(dA), _identity_coords(dB))
+
+
 def validate_measurement(m: SeparableMeasurement) -> list[Fraction]:
     """Strictly positive weights r with sum r_j A_j (x) B_j = identity.
 
-    Solved exactly by `strict_positive_solution`, one phase-1 LP; when it
-    finds none, NotASeparableMeasurement is raised.
+    One equation per coordinate of the tensor-product basis
+    (`SeparableMeasurement.product_vectors`): sum_j r_j vec(A_j) (x) vec(B_j)
+    = vec(I_A) (x) vec(I_B).  Solved exactly by `strict_positive_solution`,
+    one phase-1 LP; when it finds none, NotASeparableMeasurement is raised.
     """
-    n = m.n_outcomes
-    target = _identity_coords(m.dA * m.dB)
-    vecs = m.product_vectors
-    rows = []
-    rhs = []
-    for comp in range(len(target)):
-        rows.append(tuple(v[comp] for v in vecs))
-        rhs.append(target[comp])
-    point = strict_positive_solution(rows, rhs, n)
+    rows = tuple(zip(*m.product_vectors))
+    point = strict_positive_solution(rows, _product_identity(m.dA, m.dB), m.n_outcomes)
     if point is None:
         raise NotASeparableMeasurement(
             "no strictly positive weights complete the outcomes to the identity"
@@ -386,6 +399,11 @@ def _complete_maps(tree, a_map, b_map):
     return q, p
 
 
+def _outer(u: RealVector, v: RealVector) -> RealVector:
+    """The tensor product u (x) v of two coordinate vectors."""
+    return tuple(x * y for x in u for y in v)
+
+
 def _coords_sum(terms, size: int) -> RealVector:
     """The exact sum of c * v over (coefficient c, coordinate vector v)."""
     total = [Fraction(0)] * size
@@ -424,9 +442,10 @@ def verify_protocol_exact(protocol: LOCCProtocol) -> None:
     resolve the identity.
 
     Every operator sum is compared as its exact coordinate vector, summed
-    from the measurement's cached vectors: `vectorize` is linear and
-    injective, so equal coordinates are equal operators.  No check reads
-    the LP rows the coefficients were solved from.
+    from the measurement's cached vectors: `vectorize`, and for the leaves
+    the tensor-product basis `vec (x) vec`, are linear and injective, so
+    equal coordinates are equal operators.  No check reads the LP rows the
+    coefficients were solved from.
     """
     m = protocol.measurement
     tree = protocol.tree
@@ -465,7 +484,7 @@ def verify_protocol_exact(protocol: LOCCProtocol) -> None:
         (protocol.q[r] * protocol.p[r], m.product_vectors[r.j - 1]) for r in leaf_refs(tree)
     )
     total = _coords_sum(weighted, (m.dA * m.dB) ** 2)
-    if total != _identity_coords(m.dA * m.dB):
+    if total != _product_identity(m.dA, m.dB):
         raise ProtocolVerificationError("leaf weights do not resolve the identity")
 
 

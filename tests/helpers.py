@@ -1,5 +1,6 @@
-"""Shared test utilities: exact rational projector pool, random measurement
-and tree generators, and an exact ledger-satisfiability check."""
+"""Shared test utilities: exact rational projector pool, the exact
+Kronecker product as a reference, random measurement and tree generators,
+and an exact ledger-satisfiability check."""
 
 from __future__ import annotations
 
@@ -23,6 +24,23 @@ VECTOR_POOL = [
     (1, 3),
     (3, -1),
 ]
+
+
+def kron(a: HermitianOp, b: HermitianOp) -> HermitianOp:
+    """Exact tensor product, entry by entry; result dimension a.dim * b.dim.
+
+    A reference only: the library reads product operators in the
+    tensor-product basis of the two sides' coordinate vectors."""
+    d = a.dim * b.dim
+    rows = []
+    for i in range(d):
+        ia, ib = divmod(i, b.dim)
+        row = []
+        for j in range(d):
+            ja, jb = divmod(j, b.dim)
+            row.append(a.entries[ia][ja] * b.entries[ib][jb])
+        rows.append(tuple(row))
+    return HermitianOp(d, tuple(rows))
 
 
 def proj(v) -> HermitianOp:

@@ -10,6 +10,7 @@ import time
 from fractions import Fraction
 
 from helpers import (
+    kron,
     ledger_solution,
     permute_outcomes,
     proj,
@@ -22,7 +23,7 @@ from oracle_psd import char_poly
 
 from loccsynth import synthesis_engine
 from loccsynth.cone_geometry import Cone, cones_intersect, proportional
-from loccsynth.exact_algebra import HermitianOp, kron, op_linear_combine
+from loccsynth.exact_algebra import HermitianOp, op_linear_combine
 from loccsynth.fixtures import BUILTIN
 from loccsynth.kraus_realization import INSTRUMENT_TOL, realize, verify_instrument
 from loccsynth.protocol_tree import (

@@ -5,13 +5,13 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from helpers import kron
 from oracle_psd import char_poly, is_psd_by_char_poly
 
 from loccsynth.exact_algebra import (
     ExactComplex,
     HermitianOp,
     is_psd,
-    kron,
     op_linear_combine,
     rank_one,
     vectorize,

@@ -7,11 +7,11 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import permute_outcomes, proj, random_rescale, random_small_measurement
+from helpers import kron, permute_outcomes, proj, random_rescale, random_small_measurement
 from oracle_lp import strict_positive_reference
 
 from loccsynth import cone_geometry, synthesis_engine
-from loccsynth.exact_algebra import HermitianOp, kron, vectorize
+from loccsynth.exact_algebra import HermitianOp, vectorize
 from loccsynth.fixtures import BUILTIN
 from loccsynth.protocol_tree import (
     LeafRef,
@@ -57,6 +57,9 @@ def test_ingest_rejects_duplicate_products():
     b = proj((0, 1))
     with pytest.raises(MeasurementError, match="coincide"):
         SeparableMeasurement(2, 2, ((a, b), (a.scale(2), b.scale(3))))
+    # A scaling split across the two sides leaves the product unchanged.
+    with pytest.raises(MeasurementError, match="coincide"):
+        SeparableMeasurement(2, 2, ((a, b), (a.scale(2), b.scale(Fraction(1, 2)))))
 
 
 def test_ingest_rejects_dimension_mismatch():
@@ -207,20 +210,58 @@ def test_verify_rejects_a_negative_coefficient_only_reference():
 def test_measurement_vectors_are_built_once(name, monkeypatch):
     m = BUILTIN[name]()
     for j, (a, b) in enumerate(m.outcomes, start=1):
-        assert m.product_vectors[j - 1] == vectorize(kron(a, b))
         assert m.vec("A", j) == vectorize(a) and m.vec("B", j) == vectorize(b)
+        outer = tuple(x * y for x in m.vec("A", j) for y in m.vec("B", j))
+        assert m.product_vectors[j - 1] == outer
+    # One validation builds the identity targets (cached per dimension);
+    # after it, a run and its verification build no coordinate vector.
+    validate_measurement(m)
     calls = []
-    build = synthesis_engine.kron
+    for attr in ("vectorize", "_outer"):
+        build = getattr(synthesis_engine, attr)
 
-    def counting(a, b):
-        calls.append((a, b))
-        return build(a, b)
+        def counting(*args, build=build, attr=attr):
+            calls.append(attr)
+            return build(*args)
 
-    monkeypatch.setattr(synthesis_engine, "kron", counting)
+        monkeypatch.setattr(synthesis_engine, attr, counting)
     out = synthesize(m, SearchConfig(max_rounds=10, exhaustive=True))
     if isinstance(out, LOCCProtocol):
         verify_protocol_exact(out)
     assert calls == []
+
+
+def _weights_in_the_kron_basis(m):
+    """`validate_measurement`'s LP on the entrywise coordinates
+    vectorize(kron(A_j, B_j)) with target vectorize(I): its weights, or None."""
+    vecs = [vectorize(kron(a, b)) for a, b in m.outcomes]
+    target = vectorize(HermitianOp.identity(m.dA * m.dB))
+    return cone_geometry.strict_positive_solution(
+        tuple(zip(*vecs)), target, m.n_outcomes
+    )
+
+
+def _assert_same_weights_in_both_bases(m):
+    # The two bases are related by an invertible linear map of the rows, so
+    # the LPs are feasible together; Bland's rule could still end at
+    # another vertex on the other rows, and this pins that it does not.
+    want = _weights_in_the_kron_basis(m)
+    assert want is not None
+    assert validate_measurement(m) == want
+
+
+@pytest.mark.parametrize("name", sorted(BUILTIN))
+def test_weights_match_the_kron_basis_on_fixtures(name):
+    rng = random.Random(f"kron-basis-{name}")
+    m = BUILTIN[name]()
+    for variant in [m] + [random_rescale(permute_outcomes(m, rng), rng) for _ in range(12)]:
+        _assert_same_weights_in_both_bases(variant)
+
+
+def test_weights_match_the_kron_basis_on_criterion_6():
+    # Criterion 6's seeds (tests/test_acceptance.py).
+    for i in range(500):
+        _assert_same_weights_in_both_bases(random_small_measurement(random.Random(20_000 + i)))
 
 
 # --- synthesize ------------------------------------------------------------------
@@ -454,3 +495,11 @@ def test_no_cone_witness_is_read_during_synthesis(monkeypatch):
 def test_search_config_validation():
     with pytest.raises(ValueError):
         SearchConfig(max_rounds=0)
+    for field in ("max_rounds", "family_size_cap", "max_trees"):
+        for value in (2.5, 1.5, 3.0, True, "4"):
+            kwargs = {"max_rounds": 1, field: value}
+            with pytest.raises(ValueError, match=field):
+                SearchConfig(**kwargs)
+    for value in (1, 0, None, "yes"):
+        with pytest.raises(ValueError, match="exhaustive"):
+            SearchConfig(max_rounds=1, exhaustive=value)
