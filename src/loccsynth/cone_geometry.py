@@ -17,6 +17,14 @@ strictly by `strict_positive_solution` (`_intersection_problem`).  A query
 made only of rays (one-generator cones) compares the rays and solves no LP.
 The answer keeps only the LP point: its witness converts the point to
 per-generator coefficients and a common operator when they are first read.
+The synthesis engine's cones come from `Cone.of_checked`, over outcome
+operators and rays its measurement has already checked and computed, so a
+cone query proves nothing PSD and vectorizes nothing again.
+
+Every LP the package builds is integer: cone rows over the rays,
+validation and tree rows over a measurement's integer coordinates
+(`SeparableMeasurement.table`).  Each is the rational LP times one
+positive factor, which changes no pivot and no returned point.
 
 Whether cones intersect depends only on the cones as sets of operators, so
 `IntersectionMemo` answers a yes/no query once per key: the set of cones,
@@ -48,8 +56,9 @@ class LPProblem:
     """Equality-form LP: find x >= 0 with rows . x = rhs.
 
     `objective`, when present, is a row to maximize over the feasible set.
-    Coefficients may be `Fraction`s or `int`s: the kernel reads only their
-    `numerator` and `denominator`.
+    Coefficients may be `Fraction`s or `int`s.  An all-integer LP goes to
+    the integer kernel as it is; any other is scaled to integers first
+    (`_kernel_problem`).
     """
 
     rows: tuple[tuple[Fraction, ...], ...]
@@ -71,24 +80,20 @@ class _Tableau:
     """Dense exact simplex tableau with Bland pivoting.
 
     An integer tableau over one common denominator d > 0: the rational
-    tableau is a / d with right-hand side b / d.  The structural columns
-    and the rhs are scaled to integers by one factor for all rows, which
-    rescales every artificial variable alike, so each sign and ratio
-    Bland's rule reads is the one a Fraction tableau gives and the pivots
-    are the same.  Pivots are fraction-free (Bareiss): every update divides
-    exactly by d.
+    tableau is a / d with right-hand side b / d.  It starts from integer
+    rows and rhs (`_kernel_problem` scales a rational LP to integers).
+    Pivots are fraction-free (Bareiss): every update divides exactly by d.
     """
 
     def __init__(self, rows, rhs, n_vars: int):
         self.n = n_vars
         self.m = len(rows)
-        scale = math.lcm(*(v.denominator for row in (*rows, rhs) for v in row))
         self.a: list[list[int]] = []
         self.b: list[int] = []
         for i, (row, r) in enumerate(zip(rows, rhs)):
             sign = -1 if r < 0 else 1
-            self.a.append([sign * v.numerator * (scale // v.denominator) for v in row])
-            self.b.append(sign * r.numerator * (scale // r.denominator))
+            self.a.append([sign * v for v in row])
+            self.b.append(sign * r)
             # One artificial variable per row; artificials form the first basis.
             self.a[i].extend(1 if k == i else 0 for k in range(self.m))
         self.d = 1
@@ -182,10 +187,11 @@ def _solve(p: LPProblem) -> tuple[str, Optional[list[Fraction]], Optional[Fracti
     return "optimal", x, value
 
 
-def _without_empty_rows(
+def _kernel_problem(
     p: LPProblem, objective: Optional[tuple[Fraction, ...]]
 ) -> LPProblem:
-    """p with `objective`, minus every row that reads 0 = 0.
+    """p with `objective`, minus every row that reads 0 = 0, with integer
+    rows and rhs.
 
     A row whose coefficients and rhs are all zero changes no pivot: it
     never leaves the basis (all its entries stay 0), so its artificial
@@ -195,11 +201,23 @@ def _without_empty_rows(
     all Bland's rule reads.  So the solve makes the same pivots and returns
     the same status, point and value on fewer rows.  A row 0 = b with
     b != 0 stays: it makes the LP infeasible.
+
+    An LP with a non-integer entry has every row and the rhs multiplied by
+    the lcm of all denominators: one positive factor for the whole LP, which
+    rescales every artificial variable alike, so each sign and ratio
+    Bland's rule reads, and the point, are those of the rational LP.  The
+    package's own LPs are integer already.
     """
     keep = [i for i, row in enumerate(p.rows) if p.rhs[i] or any(row)]
-    return LPProblem(
-        tuple(p.rows[i] for i in keep), tuple(p.rhs[i] for i in keep), p.n_vars, objective
-    )
+    rows = tuple(p.rows[i] for i in keep)
+    rhs = tuple(p.rhs[i] for i in keep)
+    if any(type(v) is not int for v in itertools.chain(rhs, *rows)):
+        scale = math.lcm(*(v.denominator for v in itertools.chain(rhs, *rows)))
+        rows = tuple(
+            tuple(v.numerator * (scale // v.denominator) for v in row) for row in rows
+        )
+        rhs = tuple(v.numerator * (scale // v.denominator) for v in rhs)
+    return LPProblem(rows, rhs, p.n_vars, objective)
 
 
 def lp_feasible(p: LPProblem) -> tuple[bool, Optional[list[Fraction]]]:
@@ -208,7 +226,7 @@ def lp_feasible(p: LPProblem) -> tuple[bool, Optional[list[Fraction]]]:
     Unboundedness of an optional objective is irrelevant here: any run that
     finds a basic point reports feasible.
     """
-    status, point, _ = _solve(_without_empty_rows(p, None))
+    status, point, _ = _solve(_kernel_problem(p, None))
     if status == "infeasible":
         return False, None
     return True, point
@@ -221,7 +239,7 @@ def lp_maximize(p: LPProblem) -> tuple[str, Optional[list[Fraction]], Optional[F
     point to phase 2."""
     if p.objective is None:
         raise ValueError("lp_maximize needs an objective row")
-    return _solve(_without_empty_rows(p, p.objective))
+    return _solve(_kernel_problem(p, p.objective))
 
 
 def strict_positive_solution(rows, rhs, n: int) -> Optional[list[Fraction]]:
@@ -233,14 +251,15 @@ def strict_positive_solution(rows, rhs, n: int) -> Optional[list[Fraction]]:
     the smallest entry).  So this is one phase-1 LP,
     [A | -b] y = -[A | -b] . 1 over y >= 0, and x is (1 + y_x) / (1 + y_s).
     Bland's rule makes the returned point depend on the column and row
-    order.
+    order, but not on one positive factor applied to every row and the
+    rhs: the package's callers pass integer rows, each LP scaled by its
+    own common denominator.
     """
     homogeneous = not any(rhs)
     if not homogeneous:
         rows = [(*row, -b) for row, b in zip(rows, rhs)]
     rows = tuple(tuple(row) for row in rows)
-    # A row 0 = 0 stays 0 = 0; `any` spares summing its Fraction zeros.
-    rhs = tuple(-sum(row) if any(row) else 0 for row in rows)
+    rhs = tuple(-sum(row) for row in rows)
     feasible, point = lp_feasible(LPProblem(rows, rhs, n if homogeneous else n + 1))
     if not feasible:
         return None
@@ -264,10 +283,26 @@ class Cone:
     """Cone of nonnegative combinations of nonzero PSD generators.
 
     Each generator's integer ray (`rays`) is computed once per Cone; the
-    intersection LP, ray-only queries and `key` read it.
+    intersection LP, ray-only queries and `key` read it.  `Cone(generators)`
+    checks every generator; `Cone.of_checked` takes generators that are
+    already proved nonzero and PSD, with their rays.
     """
 
     generators: tuple[HermitianOp, ...]
+
+    @classmethod
+    def of_checked(
+        cls, generators: tuple[HermitianOp, ...], rays: tuple[tuple[int, ...], ...]
+    ) -> "Cone":
+        """A Cone over nonzero PSD generators of one dimension, the caller
+        having proved that, with `rays[i]` the `ray_key` of `generators[i]`'s
+        coordinate vector.  Runs no check and computes no ray: the synthesis
+        engine builds its cones from a measurement's outcome operators,
+        which `SeparableMeasurement` checked and whose rays it keeps."""
+        cone = object.__new__(cls)
+        object.__setattr__(cone, "generators", generators)
+        cone.__dict__["rays"] = rays
+        return cone
 
     def __post_init__(self) -> None:
         if not self.generators:

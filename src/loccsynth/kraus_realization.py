@@ -28,9 +28,8 @@ from typing import Optional
 
 import numpy as np
 
-from .exact_algebra import RealVector
 from .protocol_tree import LeafRef, TreeNode
-from .synthesis_engine import LOCCProtocol, _side_coords
+from .synthesis_engine import LOCCProtocol, _side_sum
 
 FloatOp = np.ndarray
 
@@ -41,17 +40,20 @@ HERMITIAN_TOL = 1e-12
 INSTRUMENT_TOL = 1e-9
 
 
-def _coords_to_float(coords: RealVector, dim: int) -> FloatOp:
-    """The float matrix whose exact `vectorize` coordinates are `coords`:
-    entry for entry the float conversions of that operator's entries."""
+def _coords_to_float(coords, dim: int, den: int = 1) -> FloatOp:
+    """The float matrix whose exact `vectorize` coordinates are `coords`
+    divided by `den`: entry for entry the float conversions of that
+    operator's entries.  Integer coordinates over a positive integer `den`
+    convert by int / int, which rounds correctly, as `float` of the exact
+    Fraction does: the same floats, signs of zero included."""
     out = np.empty((dim, dim), dtype=complex)
     k = dim
     for i in range(dim):
-        out[i, i] = float(coords[i])
+        out[i, i] = float(coords[i] / den)
         for j in range(i + 1, dim):
-            re = float(coords[k])
-            out[i, j] = complex(re, float(coords[k + 1]))
-            out[j, i] = complex(re, float(-coords[k + 1]))
+            re = float(coords[k] / den)
+            out[i, j] = complex(re, float(coords[k + 1] / den))
+            out[j, i] = complex(re, float(-coords[k + 1] / den))
             k += 2
     return out
 
@@ -194,8 +196,8 @@ def realize(protocol: LOCCProtocol) -> KrausProtocol:
         at = [i for i, node in enumerate(order) if node.side == side]
         dim = m.side_dim(side)
         for i in at:
-            coords = _side_coords(m, side, order[i].terms, coeffs[side])
-            value[i] = _coords_to_float(coords, dim)
+            coords, den = _side_sum(m, side, order[i].terms, coeffs[side])
+            value[i] = _coords_to_float(coords, dim, den)
         lam, vecs = _psd_eigh(np.stack([value[i] for i in at]))
         roots = np.sqrt(lam)
         # The support: the eigenvalues the floor left nonzero.
@@ -279,10 +281,12 @@ def verify_instrument(kp: KrausProtocol, m) -> InstrumentReport:
         _gram(np.stack([prods[i]["B"] for i in leaves])),
     )
     refs = [order[i].leaf for i in leaves]
-    targets = {
-        side: np.stack([_coords_to_float(m.vec(side, r.j), m.side_dim(side)) for r in refs])
-        for side in ("A", "B")
-    }
+    targets = {}
+    for side in ("A", "B"):
+        table, dim = m.table(side), m.side_dim(side)
+        targets[side] = np.stack(
+            [_coords_to_float(table.coords[r.j - 1], dim, table.denominator) for r in refs]
+        )
     weights = np.array([float(protocol.weights[r]) for r in refs])
     expected = weights[:, None, None] * _kron(targets["A"], targets["B"])
     leaf_res = norm(joint - expected)

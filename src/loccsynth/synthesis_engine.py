@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Optional, Union
@@ -27,7 +28,6 @@ from .cone_geometry import (
     lp_call_count,
     lp_feasible,
     mutually_intersecting_families,
-    ray_key,
     strict_positive_solution,
 )
 from .exact_algebra import HermitianOp, RealVector, is_psd, vectorize
@@ -66,20 +66,54 @@ class ProtocolVerificationError(AssertionError):
 
 
 @dataclass(frozen=True)
+class SideTable:
+    """One party's outcome operators in integer coordinates.
+
+    `coords[j - 1]` is `denominator` times `vectorize` of that party's
+    operator j, `denominator` being the lcm of every denominator on the
+    side, and `rays[j - 1]` is that vector divided by its gcd: the
+    primitive integer vector on the operator's ray, `ray_key` of its
+    coordinates.
+    """
+
+    denominator: int
+    coords: tuple[tuple[int, ...], ...]
+    rays: tuple[tuple[int, ...], ...]
+
+    @classmethod
+    def of(cls, vectors: list[RealVector]) -> "SideTable":
+        scale = math.lcm(*(v.denominator for vec in vectors for v in vec))
+        coords = tuple(
+            tuple(v.numerator * (scale // v.denominator) for v in vec) for vec in vectors
+        )
+        rays = []
+        for ints in coords:
+            common = math.gcd(*ints)
+            rays.append(tuple(v // common for v in ints))
+        return cls(scale, coords, tuple(rays))
+
+
+@dataclass(frozen=True)
 class SeparableMeasurement:
     """Indexed product positive operators (A_j, B_j), j = 1..n.
 
-    Each operator's coordinate vector (`vec`) and each outcome's product
-    vector (`product_vectors`) are computed once per measurement and
-    cached on it, outside the dataclass fields, so equality and repr are
-    unchanged.  The weight LP, the tree systems and `verify_protocol_exact`
-    all read them.
+    Per party, the measurement keeps one integer table (`table`): a common
+    denominator D, each operator's integer coordinates over D and each
+    operator's primitive ray.  It is computed once, when the measurement is
+    built, and cached on it outside the dataclass fields, so equality and
+    repr are unchanged.  Everything exact downstream reads the table: the
+    cones of a search are built from its rays, the weight LP's rows are
+    integers over D_A * D_B and the tree systems' over D, and
+    `verify_protocol_exact` and `realize` sum coefficients times its
+    integer coordinates.
 
-    A product vector is in the tensor-product basis: `vec(A_j) (x) vec(B_j)`,
-    the outer product of the two sides' vectors.  `vec (x) vec` is a linear
-    bijection from Herm(dA) (x) Herm(dB) onto Herm(dA*dB), so two product
-    operators are equal, or positive multiples of each other, exactly when
-    their product vectors are.
+    Product operators are compared in the tensor-product basis, where
+    A_j (x) B_j has the coordinates `vec(A_j) (x) vec(B_j)`, vec being
+    `vectorize`.  `vec (x) vec`
+    is a linear bijection from Herm(dA) (x) Herm(dB) onto Herm(dA*dB), and
+    the outer product of two primitive integer vectors is primitive, so two
+    outcomes are equal, or positive multiples of each other, exactly when
+    the outer products of their two rays are equal.
     """
 
     dA: int
@@ -99,7 +133,7 @@ class SeparableMeasurement:
                     raise MeasurementError(
                         f"outcome {j}: {side} operator fails is_psd"
                     )
-        rays = [ray_key(v) for v in self.product_vectors]
+        rays = [_outer(a, b) for a, b in zip(self.table("A").rays, self.table("B").rays)]
         for i, j in itertools.combinations(range(len(rays)), 2):
             if rays[i] == rays[j]:
                 raise MeasurementError(
@@ -107,16 +141,10 @@ class SeparableMeasurement:
                 )
 
     @functools.cached_property
-    def product_vectors(self) -> tuple[RealVector, ...]:
-        """`vec(A_j) (x) vec(B_j)` for each outcome, in outcome order."""
-        sides = self._side_vectors
-        return tuple(_outer(a, b) for a, b in zip(sides["A"], sides["B"]))
-
-    @functools.cached_property
-    def _side_vectors(self) -> dict[str, tuple[RealVector, ...]]:
+    def _tables(self) -> dict[str, SideTable]:
         return {
-            "A": tuple(vectorize(a) for a, _ in self.outcomes),
-            "B": tuple(vectorize(b) for _, b in self.outcomes),
+            "A": SideTable.of([vectorize(a) for a, _ in self.outcomes]),
+            "B": SideTable.of([vectorize(b) for _, b in self.outcomes]),
         }
 
     @property
@@ -127,9 +155,9 @@ class SeparableMeasurement:
         pair = self.outcomes[j - 1]
         return pair[0] if side == "A" else pair[1]
 
-    def vec(self, side: str, j: int) -> RealVector:
-        """`vectorize(self.op(side, j))`."""
-        return self._side_vectors[side][j - 1]
+    def table(self, side: str) -> SideTable:
+        """The integer table of one party's outcome operators."""
+        return self._tables[side]
 
     def side_dim(self, side: str) -> int:
         return self.dA if side == "A" else self.dB
@@ -202,27 +230,38 @@ SynthesisOutcome = Union[LOCCProtocol, NoLoccCertificate]
 
 
 @functools.cache
-def _identity_coords(dim: int) -> RealVector:
-    """`vectorize` of the dim x dim identity."""
-    return vectorize(HermitianOp.identity(dim))
-
-
-@functools.cache
-def _product_identity(dA: int, dB: int) -> RealVector:
-    """`vec(I_A) (x) vec(I_B)`: the identity in product-vector coordinates."""
-    return _outer(_identity_coords(dA), _identity_coords(dB))
+def _identity_coords(dim: int) -> tuple[int, ...]:
+    """`vectorize` of the dim x dim identity: 1 on the diagonal
+    coordinates, which come first, and 0 after them."""
+    return (1,) * dim + (0,) * (dim * dim - dim)
 
 
 def validate_measurement(m: SeparableMeasurement) -> list[Fraction]:
     """Strictly positive weights r with sum r_j A_j (x) B_j = identity.
 
-    One equation per coordinate of the tensor-product basis
-    (`SeparableMeasurement.product_vectors`): sum_j r_j vec(A_j) (x) vec(B_j)
-    = vec(I_A) (x) vec(I_B).  Solved exactly by `strict_positive_solution`,
-    one phase-1 LP; when it finds none, NotASeparableMeasurement is raised.
+    One equation per coordinate of the tensor-product basis:
+    sum_j r_j vec(A_j) (x) vec(B_j) = vec(I_A) (x) vec(I_B), times
+    D_A * D_B.  So the rows are the outer products of the two sides'
+    integer coordinates (`SeparableMeasurement.table`), in that basis's
+    order; a coordinate with a zero row and a zero target gives no row.
+    Solved exactly by `strict_positive_solution`, one phase-1 LP; when it
+    finds none, NotASeparableMeasurement is raised.
     """
-    rows = tuple(zip(*m.product_vectors))
-    point = strict_positive_solution(rows, _product_identity(m.dA, m.dB), m.n_outcomes)
+    ta, tb = m.table("A"), m.table("B")
+    scale = ta.denominator * tb.denominator
+    cols_b = list(zip(zip(*tb.coords), _identity_coords(m.dB)))
+    rows: list[tuple[int, ...]] = []
+    rhs: list[int] = []
+    for ca, ia in zip(zip(*ta.coords), _identity_coords(m.dA)):
+        if not ia and not any(ca):
+            continue
+        for cb, ib in cols_b:
+            row = tuple(x * y for x, y in zip(ca, cb))
+            target = scale if ia and ib else 0
+            if target or any(row):
+                rows.append(row)
+                rhs.append(target)
+    point = strict_positive_solution(rows, rhs, m.n_outcomes)
     if point is None:
         raise NotASeparableMeasurement(
             "no strictly positive weights complete the outcomes to the identity"
@@ -232,8 +271,11 @@ def validate_measurement(m: SeparableMeasurement) -> list[Fraction]:
 
 def _side_system(tree: Tree, m: SeparableMeasurement, side: str):
     """Equality rows for one party: ledger constraints plus the identity
-    condition on that party's root.  Returns (rows, rhs, variable refs)."""
+    condition on that party's root, all times the party's common
+    denominator D, so every row is an integer combination of its table's
+    coordinates.  Returns (rows, rhs, variable refs)."""
     d = m.side_dim(side)
+    table = m.table(side)
     root, second = tree.root, tree.root.children[0]
     root_label = root.terms if root.side == side else second.terms
     constraints = [c for c in tree.ledger if c.side == side]
@@ -243,26 +285,26 @@ def _side_system(tree: Tree, m: SeparableMeasurement, side: str):
         else set(root_label)
     )
     index = {r: i for i, r in enumerate(refs)}
-    vec = {r: m.vec(side, r.j) for r in refs}
+    vec = {r: table.coords[r.j - 1] for r in refs}
     vl = d * d
-    rows: list[list[Fraction]] = []
-    rhs: list[Fraction] = []
+    rows: list[list[int]] = []
+    rhs: list[int] = []
     for c in constraints:
         for comp in range(vl):
-            row = [Fraction(0)] * len(refs)
+            row = [0] * len(refs)
             for r in c.lhs:
                 row[index[r]] += vec[r][comp]
             for r in c.rhs:
                 row[index[r]] -= vec[r][comp]
             rows.append(row)
-            rhs.append(Fraction(0))
+            rhs.append(0)
     ident = _identity_coords(d)
     for comp in range(vl):
-        row = [Fraction(0)] * len(refs)
+        row = [0] * len(refs)
         for r in root_label:
             row[index[r]] += vec[r][comp]
         rows.append(row)
-        rhs.append(ident[comp])
+        rhs.append(table.denominator * ident[comp])
     return rows, rhs, refs
 
 
@@ -399,28 +441,22 @@ def _complete_maps(tree, a_map, b_map):
     return q, p
 
 
-def _outer(u: RealVector, v: RealVector) -> RealVector:
+def _outer(u: tuple[int, ...], v: tuple[int, ...]) -> tuple[int, ...]:
     """The tensor product u (x) v of two coordinate vectors."""
     return tuple(x * y for x in u for y in v)
 
 
-def _coords_sum(terms, size: int) -> RealVector:
-    """The exact sum of c * v over (coefficient c, coordinate vector v)."""
-    total = [Fraction(0)] * size
-    for c, vec in terms:
-        for k, v in enumerate(vec):
-            if v:
-                total[k] += c * v
-    return tuple(total)
-
-
-def _side_coords(
+def _side_sum(
     m: SeparableMeasurement,
     side: str,
     terms,
     coeffs: dict[LeafRef, Fraction],
-) -> RealVector:
-    """`vectorize` of sum coeffs[r] * m.op(side, r.j) over r in terms.
+) -> tuple[list[int], int]:
+    """sum coeffs[r] * m.op(side, r.j) over r in terms, exactly, as
+    (integer coordinates, positive denominator): its `vectorize` is the
+    coordinates divided by the denominator.  The coefficients are brought
+    to their common denominator, so the sum is of integers times the
+    table's integer coordinates.
 
     Raises ProtocolVerificationError when a term has no coefficient or a
     negative one."""
@@ -429,7 +465,23 @@ def _side_coords(
             raise ProtocolVerificationError(f"{r} has no {side} coefficient")
         if coeffs[r] < 0:
             raise ProtocolVerificationError(f"{r} has a negative {side} coefficient")
-    return _coords_sum(((coeffs[r], m.vec(side, r.j)) for r in terms), m.side_dim(side) ** 2)
+    table = m.table(side)
+    scale = math.lcm(*(coeffs[r].denominator for r in terms))
+    total = [0] * m.side_dim(side) ** 2
+    for r in terms:
+        c = coeffs[r]
+        w = c.numerator * (scale // c.denominator)
+        if w:
+            for k, v in enumerate(table.coords[r.j - 1]):
+                if v:
+                    total[k] += w * v
+    return total, scale * table.denominator
+
+
+def _same_value(x: tuple[list[int], int], y: tuple[list[int], int]) -> bool:
+    """Whether two (coordinates, denominator) pairs are one vector."""
+    (cx, dx), (cy, dy) = x, y
+    return all(a * dy == b * dx for a, b in zip(cx, cy))
 
 
 def verify_protocol_exact(protocol: LOCCProtocol) -> None:
@@ -441,10 +493,11 @@ def verify_protocol_exact(protocol: LOCCProtocol) -> None:
     constraint fails, a root is not the identity, or the leaves do not
     resolve the identity.
 
-    Every operator sum is compared as its exact coordinate vector, summed
-    from the measurement's cached vectors: `vectorize`, and for the leaves
-    the tensor-product basis `vec (x) vec`, are linear and injective, so
-    equal coordinates are equal operators.  No check reads the LP rows the
+    Every operator sum is compared as its exact coordinate vector, an
+    integer vector over one denominator, summed from the measurement's
+    integer tables (`_side_sum`): `vectorize`, and for the leaves the
+    tensor-product basis `vec (x) vec`, are linear and injective, so equal
+    coordinates are equal operators.  No check reads the LP rows the
     coefficients were solved from.
     """
     m = protocol.measurement
@@ -458,15 +511,15 @@ def verify_protocol_exact(protocol: LOCCProtocol) -> None:
         if protocol.q[r] <= 0 or protocol.p[r] <= 0:
             raise ProtocolVerificationError(f"leaf {r} has a nonpositive weight")
 
-    def value(side: str, terms) -> RealVector:
-        return _side_coords(m, side, terms, coeffs[side])
+    def value(side: str, terms) -> tuple[list[int], int]:
+        return _side_sum(m, side, terms, coeffs[side])
 
     def walk(node: TreeNode) -> None:
         if node.leaf is not None:
             return
         target = value(node.side, node.terms)
         for child in node.children:
-            if value(node.side, branch_terms(child)) != target:
+            if not _same_value(value(node.side, branch_terms(child)), target):
                 raise ProtocolVerificationError(
                     f"branch sum mismatch at a {node.side} node"
                 )
@@ -474,17 +527,29 @@ def verify_protocol_exact(protocol: LOCCProtocol) -> None:
 
     walk(tree.root)
     for c in tree.ledger:
-        if value(c.side, c.lhs) != value(c.side, c.rhs):
+        if not _same_value(value(c.side, c.lhs), value(c.side, c.rhs)):
             raise ProtocolVerificationError("ledger constraint violated")
     root, second = tree.root, tree.root.children[0]
     for node in (root, second):
-        if value(node.side, node.terms) != _identity_coords(m.side_dim(node.side)):
+        coords, den = value(node.side, node.terms)
+        if coords != [den * t for t in _identity_coords(m.side_dim(node.side))]:
             raise ProtocolVerificationError(f"{node.side} root is not the identity")
-    weighted = (
-        (protocol.q[r] * protocol.p[r], m.product_vectors[r.j - 1]) for r in leaf_refs(tree)
-    )
-    total = _coords_sum(weighted, (m.dA * m.dB) ** 2)
-    if total != _product_identity(m.dA, m.dB):
+    # sum_r q_r p_r vec(A_j) (x) vec(B_j), times the product of the weights'
+    # common denominator and D_A * D_B, against the identity's coordinates.
+    ta, tb = m.table("A"), m.table("B")
+    leaves = leaf_refs(tree)
+    weights = [protocol.q[r] * protocol.p[r] for r in leaves]
+    scale = math.lcm(*(w.denominator for w in weights))
+    total = [0] * (m.dA * m.dB) ** 2
+    for r, w in zip(leaves, weights):
+        wn = w.numerator * (scale // w.denominator)
+        pairs = itertools.product(ta.coords[r.j - 1], tb.coords[r.j - 1])
+        for k, (x, y) in enumerate(pairs):
+            if x and y:
+                total[k] += wn * x * y
+    den = scale * ta.denominator * tb.denominator
+    target = [den * x * y for x in _identity_coords(m.dA) for y in _identity_coords(m.dB)]
+    if total != target:
         raise ProtocolVerificationError("leaf weights do not resolve the identity")
 
 
@@ -557,7 +622,11 @@ def synthesize(m: SeparableMeasurement, cfg: SearchConfig) -> SynthesisOutcome:
         keys = sorted(groups, key=lambda k: tuple(sorted(k)))
         for key in keys:
             if (side, key) not in cones:
-                cones[side, key] = Cone(tuple(m.op(side, j) for j in sorted(key)))
+                js = sorted(key)
+                cones[side, key] = Cone.of_checked(
+                    tuple(m.op(side, j) for j in js),
+                    tuple(m.table(side).rays[j - 1] for j in js),
+                )
         items = [(key, cones[side, key]) for key in keys]
         families, complete = mutually_intersecting_families(
             items,

@@ -24,7 +24,7 @@ from typing import Optional
 
 import numpy as np
 
-from loccsynth.exact_algebra import HermitianOp, vectorize
+from loccsynth.exact_algebra import HermitianOp, op_linear_combine, vectorize
 from loccsynth.kraus_realization import (
     FloatOp,
     InstrumentReport,
@@ -36,7 +36,7 @@ from loccsynth.kraus_realization import (
     psd_sqrt,
 )
 from loccsynth.protocol_tree import TreeNode
-from loccsynth.synthesis_engine import LOCCProtocol, _side_coords
+from loccsynth.synthesis_engine import LOCCProtocol
 
 RANK_TOL = 1e-10
 
@@ -74,8 +74,9 @@ def realize_reference(protocol: LOCCProtocol, rank_tol: float = RANK_TOL) -> Kra
     coeffs = {"A": protocol.q, "B": protocol.p}
 
     def value_of(node: TreeNode) -> FloatOp:
-        coords = _side_coords(m, node.side, node.terms, coeffs[node.side])
-        return _coords_to_float(coords, m.side_dim(node.side))
+        # The exact operator sum, entry by entry, not the engine's integer table.
+        terms = [(coeffs[node.side][r], m.op(node.side, r.j)) for r in node.terms]
+        return to_float(op_linear_combine(terms, dim=m.side_dim(node.side)))
 
     def build(node: TreeNode, acc_prev: dict[str, FloatOp]) -> KrausNode:
         value = value_of(node)

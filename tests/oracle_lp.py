@@ -3,6 +3,8 @@
 This is the kernel `cone_geometry` ran before it moved to an integer
 tableau, kept as an oracle.  The integer kernel must make the same pivots,
 so it returns the same (status, point, value) as `_solve` here on every LP.
+Entries are read as Fractions, so the oracle divides exactly on integer
+LPs too.
 It does not count calls; only the library kernel feeds `lp_call_count`.
 
 `strict_positive_reference` is the strict-positivity encoding
@@ -24,8 +26,8 @@ class _Tableau:
     def __init__(self, rows, rhs, n_vars: int):
         self.n = n_vars
         self.m = len(rows)
-        self.a = [list(r) for r in rows]
-        self.b = list(rhs)
+        self.a = [[Fraction(v) for v in r] for r in rows]
+        self.b = [Fraction(v) for v in rhs]
         for i in range(self.m):
             if self.b[i] < 0:
                 self.a[i] = [-v for v in self.a[i]]

@@ -2,6 +2,7 @@
 
 import functools
 import itertools
+import math
 import random
 from collections import Counter
 from fractions import Fraction
@@ -143,11 +144,21 @@ def _record_pivots(monkeypatch, tableau_class, log):
     monkeypatch.setattr(tableau_class, "_pivot", recording)
 
 
+def _rational_rows(p, objective):
+    """`_kernel_problem` without the scaling to integers: the LP minus its
+    rows 0 = 0, entries as they were given."""
+    keep = [i for i, row in enumerate(p.rows) if p.rhs[i] or any(row)]
+    return LPProblem(
+        tuple(p.rows[i] for i in keep), tuple(p.rhs[i] for i in keep), p.n_vars, objective
+    )
+
+
 def test_lp_kernel_matches_fraction_oracle(monkeypatch):
-    # The integer kernel makes the Fraction tableau's Bland pivots, so every
-    # status, point and value is the oracle's, exactly.  The pivots are
-    # compared too: a change to a tie-break or to the scaling of the rows
-    # leaves these small LPs' answers alone but not their pivots.
+    # The integer kernel, on the LP scaled to integers, makes the Bland
+    # pivots the Fraction tableau makes on the rational LP, so every status,
+    # point and value is the oracle's, exactly.  The pivots are compared
+    # too: a change to a tie-break or to the scaling of the rows leaves
+    # these small LPs' answers alone but not their pivots.
     rng = random.Random(2024)
     seen = Counter()
     pivots, oracle_pivots = [], []
@@ -157,6 +168,7 @@ def test_lp_kernel_matches_fraction_oracle(monkeypatch):
         problem, traits = _random_lp(rng)
         got = _lp_answers(problem)
         with monkeypatch.context() as patch:
+            patch.setattr(cone_geometry, "_kernel_problem", _rational_rows)
             patch.setattr(cone_geometry, "_solve", oracle_lp._solve)
             want = _lp_answers(problem)
         assert got == want, problem
@@ -258,10 +270,11 @@ def _oracle_answers(p, runs, monkeypatch):
 
 
 def test_lp_rows_reading_zero_equals_zero_change_no_pivot(monkeypatch):
-    # Every LP entry point drops rows 0 = 0 before the kernel runs, and the
-    # kernel then makes the oracle's pivots on the full LP: the same
-    # entering columns, with each row and each artificial column mapped
-    # back to the row it came from.  So every answer is the oracle's.
+    # Every LP entry point drops rows 0 = 0 before the kernel runs, and
+    # scales the rest to integers by one factor; the kernel then makes the
+    # oracle's pivots on the full LP: the same entering columns, with each
+    # row and each artificial column mapped back to the row it came from.
+    # So every answer is the oracle's.
     rng = random.Random(808)
     runs, oracle_runs = [], []
     _record_run_pivots(monkeypatch, cone_geometry._Tableau, runs)
@@ -278,8 +291,11 @@ def test_lp_rows_reading_zero_equals_zero_change_no_pivot(monkeypatch):
         assert len(runs) == len(oracle_runs) == 3
         for (small, pivots), (full, want) in zip(runs, oracle_runs):
             kept = _nonempty_rows(full)
-            assert small.rows == tuple(full.rows[i] for i in kept)
-            assert small.rhs == tuple(full.rhs[i] for i in kept)
+            entries = [v for i in kept for v in (*full.rows[i], full.rhs[i])]
+            scale = math.lcm(*(v.denominator for v in entries))
+            assert small.rows == tuple(tuple(v * scale for v in full.rows[i]) for i in kept)
+            assert small.rhs == tuple(full.rhs[i] * scale for i in kept)
+            assert all(type(v) is int for v in (*small.rhs, *itertools.chain(*small.rows)))
             n = full.n_vars
             mapped = [(kept[r], c if c < n else n + kept[c - n]) for r, c in pivots]
             assert mapped == want, problem
@@ -299,6 +315,40 @@ def test_lp_rows_reading_zero_equals_zero_change_no_pivot(monkeypatch):
     for kind in ("infeasible", "unbounded", "optimal", "strict_found"):
         assert seen[kind] >= 10, (kind, seen)
     assert seen["pivots"] > 1000 and seen["dropped"] > 3 * len(problems), seen
+
+
+def test_one_positive_factor_changes_no_returned_point():
+    # The package's LPs reach the kernel as integer rows: the rational LP
+    # times one positive integer (a measurement's common denominator, a
+    # product of two, or the lcm `_kernel_problem` takes).  Multiplying
+    # every row and the rhs by one positive integer changes no returned
+    # point, status or value, on integer rows as on rational ones.
+    rng = random.Random(1606)
+    seen = Counter()
+    for _ in range(300):
+        problem, _ = _random_lp(rng)
+        entries = [v for row in problem.rows for v in row] + list(problem.rhs)
+        lcm = math.lcm(*(v.denominator for v in entries))
+        integral = LPProblem(
+            tuple(tuple(int(v * lcm) for v in row) for row in problem.rows),
+            tuple(int(v * lcm) for v in problem.rhs),
+            problem.n_vars,
+            problem.objective,
+        )
+        k = rng.randint(2, 97)
+        scaled = LPProblem(
+            tuple(tuple(v * k for v in row) for row in integral.rows),
+            tuple(v * k for v in integral.rhs),
+            problem.n_vars,
+            problem.objective,
+        )
+        want = _lp_answers(problem)
+        assert _lp_answers(integral) == want, problem
+        assert _lp_answers(scaled) == want, problem
+        seen[want[1][0]] += 1
+        seen["strict_found"] += want[2] is not None
+    for kind in ("infeasible", "unbounded", "optimal", "strict_found"):
+        assert seen[kind] >= 10, (kind, seen)
 
 
 @pytest.mark.parametrize("b", [Fraction(2), Fraction(-1, 3)])

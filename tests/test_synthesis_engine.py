@@ -1,6 +1,8 @@
 """Measurement validation and the synthesis loop."""
 
+import math
 import random
+import sys
 from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
@@ -11,8 +13,10 @@ from helpers import kron, permute_outcomes, proj, random_rescale, random_small_m
 from oracle_lp import strict_positive_reference
 
 from loccsynth import cone_geometry, synthesis_engine
+from loccsynth.cone_geometry import Cone, ray_key
 from loccsynth.exact_algebra import HermitianOp, vectorize
 from loccsynth.fixtures import BUILTIN
+from loccsynth.kraus_realization import realize, verify_instrument
 from loccsynth.protocol_tree import (
     LeafRef,
     OpConstraint,
@@ -203,32 +207,77 @@ def test_verify_rejects_a_negative_coefficient_only_reference():
         verify_protocol_exact(bad)
 
 
-# --- coordinate vectors, built once per measurement ---------------------------
+# --- coordinate vectors and integer tables, built once per measurement --------
+
+
+def _assert_table_matches_vectors(m):
+    for side in "AB":
+        table = m.table(side)
+        vectors = [vectorize(m.op(side, j)) for j in range(1, m.n_outcomes + 1)]
+        assert table.denominator == math.lcm(*(v.denominator for vec in vectors for v in vec))
+        for j, vec in enumerate(vectors, start=1):
+            ints = table.coords[j - 1]
+            assert all(type(v) is int for v in ints)
+            assert ints == tuple(v * table.denominator for v in vec)
+            assert table.rays[j - 1] == ray_key(vec)
+
+
+def _outer(u, v):
+    return tuple(x * y for x in u for y in v)
+
+
+def _assert_product_rays(m):
+    # The outcome coincidence check compares rayA (x) rayB: the ray of the
+    # product vector vec(A_j) (x) vec(B_j), the outer product of two
+    # primitive integer vectors being primitive.
+    ta, tb = m.table("A"), m.table("B")
+    for j, (a, b) in enumerate(m.outcomes):
+        product = _outer(vectorize(a), vectorize(b))
+        assert _outer(ta.rays[j], tb.rays[j]) == ray_key(product)
 
 
 @pytest.mark.parametrize("name", sorted(BUILTIN))
 def test_measurement_vectors_are_built_once(name, monkeypatch):
     m = BUILTIN[name]()
-    for j, (a, b) in enumerate(m.outcomes, start=1):
-        assert m.vec("A", j) == vectorize(a) and m.vec("B", j) == vectorize(b)
-        outer = tuple(x * y for x in m.vec("A", j) for y in m.vec("B", j))
-        assert m.product_vectors[j - 1] == outer
-    # One validation builds the identity targets (cached per dimension);
-    # after it, a run and its verification build no coordinate vector.
+    _assert_table_matches_vectors(m)
+    # After validation, a run, its verification and its Kraus stage build no
+    # coordinate vector, ray or outer product and prove nothing PSD again.
     validate_measurement(m)
     calls = []
-    for attr in ("vectorize", "_outer"):
-        build = getattr(synthesis_engine, attr)
+    modules = [mod for key, mod in sys.modules.items() if key.startswith("loccsynth.")]
+    for attr in ("vectorize", "_outer", "ray_key", "is_psd"):
+        for mod in modules:
+            build = vars(mod).get(attr)
+            if build is None:
+                continue
 
-        def counting(*args, build=build, attr=attr):
-            calls.append(attr)
-            return build(*args)
+            def counting(*args, build=build, attr=attr):
+                calls.append(attr)
+                return build(*args)
 
-        monkeypatch.setattr(synthesis_engine, attr, counting)
+            monkeypatch.setattr(mod, attr, counting)
     out = synthesize(m, SearchConfig(max_rounds=10, exhaustive=True))
     if isinstance(out, LOCCProtocol):
         verify_protocol_exact(out)
+        assert verify_instrument(realize(out), m).ok
     assert calls == []
+
+
+@pytest.mark.parametrize("name", sorted(BUILTIN))
+def test_side_rays_give_product_rays_on_fixtures(name):
+    rng = random.Random(f"product-rays-{name}")
+    m = BUILTIN[name]()
+    for variant in [m] + [random_rescale(permute_outcomes(m, rng), rng) for _ in range(4)]:
+        _assert_table_matches_vectors(variant)
+        _assert_product_rays(variant)
+
+
+def test_side_rays_give_product_rays_on_criterion_6():
+    # Criterion 6's seeds (tests/test_acceptance.py).
+    for i in range(500):
+        m = random_small_measurement(random.Random(20_000 + i))
+        _assert_table_matches_vectors(m)
+        _assert_product_rays(m)
 
 
 def _weights_in_the_kron_basis(m):
@@ -449,12 +498,14 @@ def test_each_cone_is_built_once_per_run(monkeypatch):
     # One Cone per side and label (the set of outcome indices a round
     # groups its trees by), reused by every later round.  Equal operator
     # tuples on two sides or under two labels get a Cone each: bennett9
-    # has such tuples, and no operator tuple is hashed to find them.
+    # has such tuples, and no operator tuple is hashed to find them.  Each
+    # comes from `Cone.of_checked` over the measurement's rays, and has the
+    # generators, rays and key the checked constructor gives.
     built = []
-    cone = synthesis_engine.Cone
+    of_checked = Cone.of_checked
 
-    def counting(generators):
-        built.append(cone(generators))
+    def counting(generators, rays):
+        built.append(of_checked(generators, rays))
         return built[-1]
 
     queried = []
@@ -464,17 +515,22 @@ def test_each_cone_is_built_once_per_run(monkeypatch):
         queried.append(list(items))
         return families(items, **kwargs)
 
-    monkeypatch.setattr(synthesis_engine, "Cone", counting)
+    monkeypatch.setattr(Cone, "of_checked", counting)
     monkeypatch.setattr(synthesis_engine, "mutually_intersecting_families", recording)
-    out = synthesize(BUILTIN["bennett9"](), SearchConfig(max_rounds=10))
+    m = BUILTIN["bennett9"]()
+    out = synthesize(m, SearchConfig(max_rounds=10))
     assert len(queried) == len(out.stats.rounds)
     cone_of = {}
     for stats, items in zip(out.stats.rounds, queried):
         for label, c in items:
             assert cone_of.setdefault((stats.side, label), c) is c
+            assert c.generators == tuple(m.op(stats.side, j) for j in sorted(label))
     assert len(built) == len(cone_of)
     assert {id(c) for c in built} == {id(c) for c in cone_of.values()}
     assert len({c.generators for c in built}) < len(built)
+    for c in built:
+        checked = Cone(c.generators)
+        assert c == checked and c.rays == checked.rays and c.key == checked.key
 
 
 def test_no_cone_witness_is_read_during_synthesis(monkeypatch):
