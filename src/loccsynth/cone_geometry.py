@@ -28,8 +28,9 @@ positive factor, which changes no pivot and no returned point.
 
 Whether cones intersect depends only on the cones as sets of operators, so
 `IntersectionMemo` answers a yes/no query once per key: the set of cones,
-each keyed by its set of generator rays (`Cone.key`).  The synthesis
-engine keeps one memo for one `synthesize` call.
+each keyed by its set of generator rays (`Cone.key`).  Each `synthesize`
+call's search owns one memo, which counts the LPs its misses solve; this
+module keeps no state between calls.
 """
 
 from __future__ import annotations
@@ -42,13 +43,6 @@ from fractions import Fraction
 from typing import Callable, Hashable, Optional, Sequence
 
 from .exact_algebra import HermitianOp, RealVector, is_psd, op_linear_combine, vectorize
-
-# Running count of simplex solves, reported in run statistics.
-_LP_CALLS = 0
-
-
-def lp_call_count() -> int:
-    return _LP_CALLS
 
 
 @dataclass(frozen=True)
@@ -161,8 +155,6 @@ class _Tableau:
 
 def _solve(p: LPProblem) -> tuple[str, Optional[list[Fraction]], Optional[Fraction]]:
     """Two-phase simplex.  Returns (status, point, objective value)."""
-    global _LP_CALLS
-    _LP_CALLS += 1
     t = _Tableau(p.rows, p.rhs, p.n_vars)
     t._minimize([0] * p.n_vars + [1] * t.m, t.total)
     if sum(t.b[i] for i in range(t.m) if t.basis[i] >= p.n_vars) > 0:
@@ -414,6 +406,11 @@ def _intersection_problem(
     return LPProblem(tuple(rows), rhs, n), offsets
 
 
+def _rays_only(cones: Sequence[Cone]) -> bool:
+    """Whether every cone is one ray, so `cones_intersect` solves no LP."""
+    return all(len(cone.rays) == 1 for cone in cones)
+
+
 def cones_intersect(
     cones: Sequence[Cone], strict: bool = False
 ) -> Optional[IntersectionWitness]:
@@ -436,7 +433,7 @@ def cones_intersect(
     for cone in cones:
         if cone.dim != dim:
             raise ValueError("cones must share an ambient dimension")
-    if all(len(cone.rays) == 1 for cone in cones):
+    if _rays_only(cones):
         if any(cone.rays[0] != cones[0].rays[0] for cone in cones[1:]):
             return None
         # One unit per ray is a point of the LP: the rays are all equal.  Its
@@ -483,14 +480,16 @@ class IntersectionMemo:
     Thm 6.6).  So rescaling a generator by a positive rational, reordering
     or repeating generators, and reordering or repeating cones leave both
     the key and the answer unchanged.  Only the boolean is kept, never a
-    witness.  A miss calls `cones_intersect` through its module-global name,
+    witness.  A miss calls `cones_intersect` through its module-level name,
     looked up at call time, so a wrapper bound to that name (a tracer) sees
-    every query that is solved.
+    every query that is solved.  `hits` counts the queries answered from an
+    earlier one, and `lp_calls` the misses that solved an LP.
     """
 
     def __init__(self) -> None:
         self.answers: dict[tuple[bool, frozenset], bool] = {}
         self.hits = 0
+        self.lp_calls = 0
 
     def __call__(self, cones: Sequence[Cone], strict: bool) -> bool:
         key = (strict, frozenset(cone.key for cone in cones))
@@ -498,6 +497,8 @@ class IntersectionMemo:
         if answer is None:
             answer = cones_intersect(cones, strict=strict) is not None
             self.answers[key] = answer
+            if not _rays_only(cones):
+                self.lp_calls += 1
         else:
             self.hits += 1
         return answer

@@ -28,7 +28,7 @@ from typing import Optional
 
 import numpy as np
 
-from .protocol_tree import LeafRef, TreeNode
+from .protocol_tree import LeafRef
 from .synthesis_engine import LOCCProtocol, _side_sum
 
 FloatOp = np.ndarray

@@ -101,8 +101,6 @@ def _sorted_children(children: Sequence[TreeNode]) -> tuple[TreeNode, ...]:
 
 def congruent(t1: TreeNode, t2: TreeNode) -> bool:
     """Identical shape and outcome indices; coefficients (k indices) ignored."""
-    if t1.side != t2.side:
-        return False
     return canonical_key(t1) == canonical_key(t2)
 
 
@@ -172,10 +170,7 @@ def _map_ledger(
 
 
 def _extension_label(node: TreeNode) -> frozenset[LeafRef]:
-    out: set[LeafRef] = set()
-    for c in node.children:
-        out.update(c.terms)
-    return frozenset(out)
+    return frozenset().union(*(c.terms for c in node.children))
 
 
 def merge_and_extend(trees: Sequence[Tree]) -> Tree:
@@ -241,6 +236,11 @@ def has_congruent_siblings(tree: Tree) -> bool:
     return walk(tree.root)
 
 
+def _augment(terms: frozenset[LeafRef], pairs) -> frozenset[LeafRef]:
+    """`terms` plus every reference `pairs` lists for one of them."""
+    return frozenset(terms).union(*(pairs.get(r, ()) for r in terms))
+
+
 def collapse_congruent(tree: Tree) -> Tree:
     """Fold congruent sibling subtrees into one, per the cut-and-sum rule.
 
@@ -255,13 +255,7 @@ def collapse_congruent(tree: Tree) -> Tree:
     ledger: set[OpConstraint] = set(tree.ledger)
 
     def rebuild(node: TreeNode, merge_side: str, pairs) -> TreeNode:
-        if node.side == merge_side:
-            terms = node.terms
-        else:
-            terms = frozenset(
-                set(node.terms)
-                | {cp for r in node.terms for cp in pairs.get(r, ())}
-            )
+        terms = node.terms if node.side == merge_side else _augment(node.terms, pairs)
         if node.leaf is not None:
             return TreeNode(node.side, terms, (), node.leaf)
         children = _sorted_children(
@@ -274,17 +268,12 @@ def collapse_congruent(tree: Tree) -> Tree:
         if node.leaf is not None:
             return node
         children = [walk(c) for c in node.children]
-        grouped: dict[object, list[TreeNode]] = {}
-        order: list[object] = []
+        grouped: dict[object, list[TreeNode]] = {}  # in first-seen order
         for c in children:
-            key = canonical_key(c)
-            if key not in grouped:
-                grouped[key] = []
-                order.append(key)
-            grouped[key].append(c)
+            grouped.setdefault(canonical_key(c), []).append(c)
         new_children: list[TreeNode] = []
-        for key in order:
-            group = sorted(grouped[key], key=full_key)
+        for group in grouped.values():
+            group = sorted(group, key=full_key)
             if len(group) == 1:
                 new_children.append(group[0])
                 continue
@@ -298,13 +287,6 @@ def collapse_congruent(tree: Tree) -> Tree:
             removed_refs = {n.leaf for rm in removed for n in leaves_in_order(rm)}
             merge_side = node.side
             new_children.append(rebuild(kept, merge_side, pairs))
-
-            def augment(term_set: frozenset[LeafRef]) -> frozenset[LeafRef]:
-                return frozenset(
-                    set(term_set)
-                    | {cp for r in term_set for cp in pairs.get(r, ())}
-                )
-
             rewritten: set[OpConstraint] = set()
             for c in ledger:
                 refs = c.refs()
@@ -313,7 +295,8 @@ def collapse_congruent(tree: Tree) -> Tree:
                         continue
                     rewritten.add(c)
                 elif c.side != merge_side and refs and refs <= kept_refs:
-                    rewritten.add(OpConstraint.make(c.side, augment(c.lhs), augment(c.rhs)))
+                    lhs, rhs = _augment(c.lhs, pairs), _augment(c.rhs, pairs)
+                    rewritten.add(OpConstraint.make(c.side, lhs, rhs))
                 else:
                     rewritten.add(c)
             ledger = rewritten
@@ -371,9 +354,8 @@ def validate_tree(tree: Tree) -> None:
             if node.leaf in seen:
                 raise ValueError(f"duplicate leaf reference {node.leaf}")
             seen.add(node.leaf)
-        else:
-            if node.children != _sorted_children(node.children):
-                raise ValueError("children are not in canonical order")
+        elif node.children != _sorted_children(node.children):
+            raise ValueError("children are not in canonical order")
 
     walk(tree.root, 1)
     if depths and depths != {tree.depth}:

@@ -25,9 +25,9 @@ from .cone_geometry import (
     Cone,
     IntersectionMemo,
     LPProblem,
-    lp_call_count,
     lp_feasible,
     mutually_intersecting_families,
+    ray_key,
     strict_positive_solution,
 )
 from .exact_algebra import HermitianOp, RealVector, is_psd, vectorize
@@ -86,11 +86,7 @@ class SideTable:
         coords = tuple(
             tuple(v.numerator * (scale // v.denominator) for v in vec) for vec in vectors
         )
-        rays = []
-        for ints in coords:
-            common = math.gcd(*ints)
-            rays.append(tuple(v // common for v in ints))
-        return cls(scale, coords, tuple(rays))
+        return cls(scale, coords, tuple(ray_key(c) for c in coords))
 
 
 @dataclass(frozen=True)
@@ -195,9 +191,10 @@ class RoundStats:
 
 @dataclass(frozen=True)
 class SearchStats:
-    """Run counters.  `lp_calls` counts the exact LPs actually solved, here
-    and per round; `memo_hits` counts the cone queries the run's
-    `IntersectionMemo` answered without one."""
+    """Run counters.  `lp_calls` counts the exact LPs this search solved
+    after validating the measurement, in all and per round; a search nested
+    inside it, or running beside it, adds none.  `memo_hits` counts the cone
+    queries the run's `IntersectionMemo` answered without one."""
 
     rounds: tuple[RoundStats, ...]
     rounds_completed: int
@@ -279,11 +276,7 @@ def _side_system(tree: Tree, m: SeparableMeasurement, side: str):
     root, second = tree.root, tree.root.children[0]
     root_label = root.terms if root.side == side else second.terms
     constraints = [c for c in tree.ledger if c.side == side]
-    refs = sorted(
-        set().union(root_label, *[c.refs() for c in constraints])
-        if constraints
-        else set(root_label)
-    )
+    refs = sorted(set().union(root_label, *[c.refs() for c in constraints]))
     index = {r: i for i, r in enumerate(refs)}
     vec = {r: table.coords[r.j - 1] for r in refs}
     vl = d * d
@@ -381,36 +374,42 @@ def solve_tree(tree: Tree, m: SeparableMeasurement) -> Optional[LOCCProtocol]:
     zero-weight leaves leaves a protocol with full coverage that passes
     verify_protocol_exact.
     """
-    systems = [_side_system(tree, m, side) for side in ("A", "B")]
-    solutions = []
-    for rows, rhs, refs in systems:
-        point = strict_positive_solution(rows, rhs, len(refs))
-        if point is None:
-            break
-        solutions.append(dict(zip(refs, point)))
-    else:
-        return _verified_protocol(tree, m, *_complete_maps(tree, *solutions))
+    return _solve_tree(tree, m)[0]
 
-    solutions = []
-    for rows, rhs, refs in systems:
-        feasible, point = lp_feasible(
-            LPProblem(tuple(tuple(r) for r in rows), tuple(rhs), len(refs))
-        )
-        if not feasible:
-            return None
-        solutions.append(dict(zip(refs, point)))
+
+def _solve_tree(tree: Tree, m: SeparableMeasurement) -> tuple[Optional[LOCCProtocol], int]:
+    """`solve_tree`'s protocol, or None, and the number of LPs it solved:
+    one per party and attempt, up to the first party without a solution."""
+    systems = [_side_system(tree, m, side) for side in ("A", "B")]
+    lps = 0
+    for strict in (True, False):
+        solutions = []
+        for rows, rhs, refs in systems:
+            lps += 1
+            if strict:
+                point = strict_positive_solution(rows, rhs, len(refs))
+            else:
+                problem = LPProblem(tuple(map(tuple, rows)), tuple(rhs), len(refs))
+                point = lp_feasible(problem)[1]
+            if point is None:
+                break
+            solutions.append(dict(zip(refs, point)))
+        if len(solutions) == len(systems):
+            break
+    else:
+        return None, lps
     q, p = _complete_maps(tree, *solutions)
-    if all(q[r] > 0 and p[r] > 0 for r in leaf_refs(tree)):
-        return _verified_protocol(tree, m, q, p)
+    if strict or all(q[r] > 0 and p[r] > 0 for r in leaf_refs(tree)):
+        return _verified_protocol(tree, m, q, p), lps
     pruned = _prune_zero_leaves(tree, q, p)
     if pruned is None:
-        return None
+        return None, lps
     if {r.j for r in leaf_refs(pruned)} != set(range(1, m.n_outcomes + 1)):
-        return None
+        return None, lps
     try:
-        return _verified_protocol(pruned, m, *_complete_maps(pruned, q, p))
+        return _verified_protocol(pruned, m, *_complete_maps(pruned, q, p)), lps
     except ProtocolVerificationError:
-        return None
+        return None, lps
 
 
 def _side_refs(tree: Tree, side: str) -> set[LeafRef]:
@@ -569,90 +568,104 @@ def _candidate_merges(families, groups, cap):
                 yield fam, combo
 
 
-def synthesize(m: SeparableMeasurement, cfg: SearchConfig) -> SynthesisOutcome:
-    """Build an LOCC protocol within cfg.max_rounds rounds or certify failure.
+class _Search:
+    """The state of one `synthesize` call: the frontier of partial trees,
+    the signatures and label families earlier rounds saw, the (side, label)
+    cones with the memo that answers their queries, and the counters
+    `stats` reports.  It counts only the LPs it causes: its memo's cone LPs
+    and its tree solves'."""
 
-    Returns the first protocol found (deterministic enumeration order), or a
-    certificate whose verdict distinguishes a proven fixed point
-    (NO_LOCC_ANY_ROUNDS), plain round exhaustion (NO_LOCC_WITHIN_L), and a
-    search truncated by a cap (INCONCLUSIVE_CAPPED).
-    """
-    validate_measurement(m)
-    all_j = frozenset(range(1, m.n_outcomes + 1))
-    lp_base = lp_call_count()
-    frontier = seed_trees(m.n_outcomes)
-    next_uid = m.n_outcomes + 1
-    trees_total = m.n_outcomes
-    seen_sigs = {equivalence_signature(t) for t in frontier}
-    seen_families: dict[str, list[frozenset[frozenset[int]]]] = {"A": [], "B": []}
-    cones: dict[tuple[str, frozenset[int]], Cone] = {}  # one per side and label
-    intersect = IntersectionMemo()
-    rounds: list[RoundStats] = []
-    capped = False
-    dedup_hits = 0
-    congruence_skips = 0
-    last_progress = 0
-    empty_streak = 0
+    def __init__(self, m: SeparableMeasurement, cfg: SearchConfig) -> None:
+        self.m, self.cfg = m, cfg
+        self.frontier = seed_trees(m.n_outcomes)
+        self.created: list[Tree] = []  # the last round's new trees
+        self.trees_total = m.n_outcomes  # also the last uid given out
+        self.seen_sigs = {equivalence_signature(t) for t in self.frontier}
+        self.seen_families: dict[str, list[frozenset[frozenset[int]]]] = {"A": [], "B": []}
+        self.cones: dict[tuple[str, frozenset[int]], Cone] = {}  # one per side and label
+        self.memo = IntersectionMemo()
+        self.tree_lps = 0
+        self.rounds: list[RoundStats] = []
+        self.capped = False
+        self.dedup_hits = 0
+        self.congruence_skips = 0
 
-    def stats_now(rounds_completed: int) -> SearchStats:
+    @property
+    def lp_calls(self) -> int:
+        return self.memo.lp_calls + self.tree_lps
+
+    def stats(self) -> SearchStats:
         return SearchStats(
-            rounds=tuple(rounds),
-            rounds_completed=rounds_completed,
-            last_progress_round=last_progress,
-            lp_calls=lp_call_count() - lp_base,
-            memo_hits=intersect.hits,
-            trees_total=trees_total,
-            capped=capped,
-            signature_dedup_hits=dedup_hits,
-            congruence_skips=congruence_skips,
+            rounds=tuple(self.rounds),
+            rounds_completed=len(self.rounds),
+            last_progress_round=max(
+                (r.round_index for r in self.rounds if r.trees_created), default=0
+            ),
+            lp_calls=self.lp_calls,
+            memo_hits=self.memo.hits,
+            trees_total=self.trees_total,
+            capped=self.capped,
+            signature_dedup_hits=self.dedup_hits,
+            congruence_skips=self.congruence_skips,
         )
 
-    if m.n_outcomes == 1:
-        protocol = solve_tree(frontier[0], m)
-        if protocol is not None:
-            return replace(protocol, stats=stats_now(0))
+    def first_protocol(self, trees: list[Tree]) -> Optional[LOCCProtocol]:
+        """The first protocol solved from one of `trees` that covers every
+        outcome, or None."""
+        for t in trees:
+            if covered_outcomes(t) == frozenset(range(1, self.m.n_outcomes + 1)):
+                protocol, lps = _solve_tree(t, self.m)
+                self.tree_lps += lps
+                if protocol is not None:
+                    return protocol
+        return None
 
-    for round_index in range(1, cfg.max_rounds + 1):
-        side = frontier[0].root.side
-        lp_round_base = lp_call_count()
-        hits_round_base = intersect.hits
+    def round(self) -> tuple[Optional[LOCCProtocol], bool]:
+        """Extend the trees carried over, then run the next round.  Returns
+        the protocol it found, or None, and whether it created a tree."""
+        m, cfg, side_seen = self.m, self.cfg, self.seen_families
+        # The frontier is extended only when a round runs after it.
+        if self.rounds:
+            self.frontier = [
+                replace(merge_and_extend([t]), uid=t.uid) for t in self.frontier
+            ] + self.created
+        side = self.frontier[0].root.side
+        lp_base, hits_base = self.lp_calls, self.memo.hits
         groups: dict[frozenset[int], list[Tree]] = {}
-        for t in frontier:
+        for t in self.frontier:
             groups.setdefault(_root_key(t), []).append(t)
         keys = sorted(groups, key=lambda k: tuple(sorted(k)))
         for key in keys:
-            if (side, key) not in cones:
+            if (side, key) not in self.cones:
                 js = sorted(key)
-                cones[side, key] = Cone.of_checked(
+                self.cones[side, key] = Cone.of_checked(
                     tuple(m.op(side, j) for j in js),
                     tuple(m.table(side).rays[j - 1] for j in js),
                 )
-        items = [(key, cones[side, key]) for key in keys]
+        items = [(key, self.cones[side, key]) for key in keys]
         families, complete = mutually_intersecting_families(
             items,
             strict=True,
             size_cap=cfg.family_size_cap,
             exhaustive=cfg.exhaustive,
-            intersect=intersect,
+            intersect=self.memo,
         )
         if not complete:
-            capped = True
+            self.capped = True
         # A label used by several distinct trees is mergeable with itself.
         for key in keys:
             if len(groups[key]) >= 2 and not any(key in fam for fam in families):
                 families.append(frozenset({key}))
         families.sort(key=lambda f: tuple(sorted(tuple(sorted(k)) for k in f)))
         new_families = [
-            f
-            for f in families
-            if not any(f <= prev for prev in seen_families[side])
+            f for f in families if not any(f <= prev for prev in side_seen[side])
         ]
 
         if any(
             sum(len(groups[key]) for key in fam) > cfg.family_size_cap
             for fam in new_families
         ):
-            capped = True
+            self.capped = True
 
         created: list[Tree] = []
         merged_subsets: list[tuple[int, ...]] = []
@@ -663,67 +676,70 @@ def synthesize(m: SeparableMeasurement, cfg: SearchConfig) -> SynthesisOutcome:
                 continue
             tried.add(uids)
             keyset = frozenset(_root_key(t) for t in combo)
-            if any(keyset <= prev for prev in seen_families[side]):
+            if any(keyset <= prev for prev in side_seen[side]):
                 continue
             if any(congruent(a.root, b.root) for a, b in itertools.combinations(combo, 2)):
-                congruence_skips += 1
+                self.congruence_skips += 1
                 continue
             merged = merge_and_extend(combo)
             if has_congruent_siblings(merged):
-                congruence_skips += 1
+                self.congruence_skips += 1
                 continue
             sig = equivalence_signature(merged)
-            if sig in seen_sigs:
-                dedup_hits += 1
+            if sig in self.seen_sigs:
+                self.dedup_hits += 1
                 continue
-            seen_sigs.add(sig)
-            merged = replace(merged, uid=next_uid)
-            next_uid += 1
-            trees_total += 1
-            created.append(merged)
+            self.seen_sigs.add(sig)
+            self.trees_total += 1
+            created.append(replace(merged, uid=self.trees_total))
             merged_subsets.append(tuple(sorted(t.uid for t in combo)))
-            if trees_total > cfg.max_trees:
-                capped = True
+            if self.trees_total > cfg.max_trees:
+                self.capped = True
                 break
 
-        protocol = None
-        for t in created:
-            if covered_outcomes(t) == all_j:
-                protocol = solve_tree(t, m)
-                if protocol is not None:
-                    break
-
-        seen_families[side].extend(new_families)
-        progress = bool(created)
-        if progress:
-            last_progress = round_index
-            empty_streak = 0
-        else:
-            empty_streak += 1
-        rounds.append(
+        protocol = self.first_protocol(created)
+        side_seen[side].extend(new_families)
+        self.created = created
+        self.rounds.append(
             RoundStats(
-                round_index=round_index,
+                round_index=len(self.rounds) + 1,
                 side=side,
                 new_families=tuple(
                     tuple(sorted(tuple(sorted(k)) for k in f)) for f in new_families
                 ),
                 merged_subsets=tuple(merged_subsets),
                 trees_created=len(created),
-                trees_total=trees_total,
-                lp_calls=lp_call_count() - lp_round_base,
-                memo_hits=intersect.hits - hits_round_base,
+                trees_total=self.trees_total,
+                lp_calls=self.lp_calls - lp_base,
+                memo_hits=self.memo.hits - hits_base,
             )
         )
-        if protocol is not None:
-            return replace(protocol, stats=stats_now(round_index))
-        if empty_streak >= 2:
-            verdict = INCONCLUSIVE_CAPPED if capped else NO_LOCC_ANY_ROUNDS
-            return NoLoccCertificate(verdict, stats_now(round_index))
-        if trees_total > cfg.max_trees:
-            return NoLoccCertificate(INCONCLUSIVE_CAPPED, stats_now(round_index))
-        frontier = [
-            replace(merge_and_extend([t]), uid=t.uid) for t in frontier
-        ] + created
+        return protocol, bool(created)
 
-    verdict = INCONCLUSIVE_CAPPED if capped else NO_LOCC_WITHIN_L
-    return NoLoccCertificate(verdict, stats_now(cfg.max_rounds))
+
+def synthesize(m: SeparableMeasurement, cfg: SearchConfig) -> SynthesisOutcome:
+    """Build an LOCC protocol within cfg.max_rounds rounds or certify failure.
+
+    Returns the first protocol found (deterministic enumeration order), or a
+    certificate whose verdict distinguishes a proven fixed point
+    (NO_LOCC_ANY_ROUNDS), plain round exhaustion (NO_LOCC_WITHIN_L), and a
+    search truncated by a cap (INCONCLUSIVE_CAPPED).
+    """
+    validate_measurement(m)
+    run = _Search(m, cfg)
+    protocol = run.first_protocol(run.frontier)  # a seed is complete for one outcome
+    if protocol is not None:
+        return replace(protocol, stats=run.stats())
+    empty_streak = 0
+    for _ in range(cfg.max_rounds):
+        protocol, progress = run.round()
+        if protocol is not None:
+            return replace(protocol, stats=run.stats())
+        empty_streak = 0 if progress else empty_streak + 1
+        if empty_streak >= 2:
+            verdict = INCONCLUSIVE_CAPPED if run.capped else NO_LOCC_ANY_ROUNDS
+            return NoLoccCertificate(verdict, run.stats())
+        if run.trees_total > cfg.max_trees:
+            return NoLoccCertificate(INCONCLUSIVE_CAPPED, run.stats())
+    verdict = INCONCLUSIVE_CAPPED if run.capped else NO_LOCC_WITHIN_L
+    return NoLoccCertificate(verdict, run.stats())

@@ -204,8 +204,3 @@ def sum_rule_values_hold(tree: Tree, m: SeparableMeasurement, solution) -> bool:
         return all(walk(c) for c in node.children)
 
     return walk(tree.root)
-
-
-def ledger_strictly_satisfiable(tree: Tree, m: SeparableMeasurement) -> bool:
-    """True when each side's ledger admits strictly positive coefficients."""
-    return ledger_solution(tree, m) is not None

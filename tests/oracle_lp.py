@@ -4,8 +4,7 @@ This is the kernel `cone_geometry` ran before it moved to an integer
 tableau, kept as an oracle.  The integer kernel must make the same pivots,
 so it returns the same (status, point, value) as `_solve` here on every LP.
 Entries are read as Fractions, so the oracle divides exactly on integer
-LPs too.
-It does not count calls; only the library kernel feeds `lp_call_count`.
+LPs too.  Like the library kernel, it keeps no count of its calls.
 
 `strict_positive_reference` is the strict-positivity encoding
 `cone_geometry.strict_positive_solution` replaced: the max-min-slack LP,

@@ -1,24 +1,20 @@
 """Symbolic protocol trees: seeding, merging, congruence, collapse."""
 
 import random
-from fractions import Fraction
 
 import pytest
 
 from helpers import (
     ledger_solution,
-    ledger_strictly_satisfiable,
     proj,
     random_merged_tree,
     sum_rule_values_hold,
 )
 
-from loccsynth.exact_algebra import HermitianOp
 from loccsynth.fixtures import BUILTIN
 from loccsynth.protocol_tree import (
     LeafRef,
     OpConstraint,
-    Tree,
     canonical_key,
     collapse_congruent,
     congruent,

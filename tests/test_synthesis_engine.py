@@ -4,6 +4,7 @@ import math
 import random
 import sys
 from collections import Counter
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from fractions import Fraction
 
@@ -26,7 +27,6 @@ from loccsynth.protocol_tree import (
 )
 from loccsynth.synthesis_engine import (
     INCONCLUSIVE_CAPPED,
-    NO_LOCC_ANY_ROUNDS,
     NO_LOCC_WITHIN_L,
     LOCCProtocol,
     MeasurementError,
@@ -408,12 +408,61 @@ def test_lp_calls_count_only_non_ray_queries(
     assert [r.memo_hits for r in out.stats.rounds] == round_memo_hits
 
 
+def test_a_nested_search_counts_only_its_own_lps(monkeypatch):
+    # example4's search runs inside example5's, from the callback that
+    # verifies example5's protocol; each reports its solo counts.
+    cfg = SearchConfig(max_rounds=10, exhaustive=True)
+    outer_m = BUILTIN["example5"]()
+    inner = []
+    verify = synthesis_engine.verify_protocol_exact
+
+    def verify_and_search(protocol):
+        verify(protocol)
+        if protocol.measurement is outer_m:
+            inner.append(synthesize(BUILTIN["example4"](), cfg))
+
+    monkeypatch.setattr(synthesis_engine, "verify_protocol_exact", verify_and_search)
+    outer = synthesize(outer_m, cfg)
+    assert outer.stats.lp_calls == 70
+    assert [r.lp_calls for r in outer.stats.rounds] == [0, 34, 11, 25]
+    assert len(inner) == 1
+    assert inner[0].stats.lp_calls == 41
+    assert [r.lp_calls for r in inner[0].stats.rounds] == [0, 26, 3, 12]
+
+
+def test_searches_in_two_threads_count_only_their_own_lps():
+    # A short switch interval interleaves the two threads' rounds.
+    cfg = SearchConfig(max_rounds=10, exhaustive=True)
+    solo = {"example4": 41, "example5": 70}
+
+    def search(name):
+        m = BUILTIN[name]()
+        return [synthesize(m, cfg).stats.lp_calls for _ in range(20)]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-4)
+    try:
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            runs = {name: pool.submit(search, name) for name in solo}
+            counts = {name: run.result(timeout=120) for name, run in runs.items()}
+    finally:
+        sys.setswitchinterval(interval)
+    assert counts == {name: [count] * 20 for name, count in solo.items()}
+
+
 class _NoMemo:
-    """Stands in for IntersectionMemo: every query solves afresh."""
+    """Stands in for IntersectionMemo: every query solves afresh, and each
+    one that is not made only of rays counts one LP, as the memo counts its
+    misses."""
 
     hits = 0
 
+    def __init__(self):
+        self.lp_calls = 0
+
     def __call__(self, cones, strict):
+        if not cone_geometry._rays_only(cones):
+            self.lp_calls += 1
         return cone_geometry.cones_intersect(cones, strict=strict) is not None
 
 
