@@ -31,6 +31,7 @@ is still written).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import re
@@ -206,31 +207,11 @@ def tree_to_dot(tree: Tree, solved: Optional[LOCCProtocol] = None) -> str:
 
 
 def _stats_dict(stats) -> dict:
-    return {
-        "rounds_completed": stats.rounds_completed,
-        "last_progress_round": stats.last_progress_round,
-        "lp_calls": stats.lp_calls,
-        "memo_hits": stats.memo_hits,
-        "trees_total": stats.trees_total,
-        "capped": stats.capped,
-        "signature_dedup_hits": stats.signature_dedup_hits,
-        "congruence_skips": stats.congruence_skips,
-        "rounds": [
-            {
-                "round": r.round_index,
-                "side": r.side,
-                "new_families": [
-                    [list(key) for key in fam] for fam in r.new_families
-                ],
-                "merged_subsets": [list(s) for s in r.merged_subsets],
-                "trees_created": r.trees_created,
-                "trees_total": r.trees_total,
-                "lp_calls": r.lp_calls,
-                "memo_hits": r.memo_hits,
-            }
-            for r in stats.rounds
-        ],
-    }
+    report = dataclasses.asdict(stats)
+    report["rounds"] = [
+        {"round": r.pop("round_index"), **r} for r in report.pop("rounds")
+    ]
+    return report
 
 
 def _coeff_dict(table: dict[LeafRef, Fraction]) -> dict:

@@ -7,8 +7,8 @@ stay free symbols until a completed tree's constraint ledger is handed to
 the exact LP solver.
 
 Trees are immutable; every operation returns a new tree.  Children are
-kept in a canonical sorted order at all times so that congruence testing
-and deduplication reduce to serialization comparison.
+kept in canonical sorted order, so congruence is `canonical_key` equality
+(the search never tests it: see `synthesis_engine._Search.round`).
 """
 
 from __future__ import annotations
@@ -129,7 +129,7 @@ def covered_outcomes(tree: Tree) -> frozenset[int]:
 
 
 def equivalence_signature(tree: Tree):
-    """Dedup key: left-most label's outcome set plus the k-free tree form."""
+    """Left-most label's outcome set plus the k-free tree form."""
     jset = tuple(sorted({r.j for r in tree.root.terms}))
     return (jset, canonical_key(tree.root))
 

@@ -38,10 +38,7 @@ from .protocol_tree import (
     TreeNode,
     _sorted_children,
     branch_terms,
-    congruent,
     covered_outcomes,
-    equivalence_signature,
-    has_congruent_siblings,
     leaf_refs,
     merge_and_extend,
     seed_trees,
@@ -194,7 +191,9 @@ class SearchStats:
     """Run counters.  `lp_calls` counts the exact LPs this search solved
     after validating the measurement, in all and per round; a search nested
     inside it, or running beside it, adds none.  `memo_hits` counts the cone
-    queries the run's `IntersectionMemo` answered without one."""
+    queries the run's `IntersectionMemo` answered without one.
+    `signature_dedup_hits` and `congruence_skips` are 0 by construction:
+    the frontier's invariant (`_Search.round`) rules out both events."""
 
     rounds: tuple[RoundStats, ...]
     rounds_completed: int
@@ -570,25 +569,22 @@ def _candidate_merges(families, groups, cap):
 
 class _Search:
     """The state of one `synthesize` call: the frontier of partial trees,
-    the signatures and label families earlier rounds saw, the (side, label)
-    cones with the memo that answers their queries, and the counters
-    `stats` reports.  It counts only the LPs it causes: its memo's cone LPs
-    and its tree solves'."""
+    the label families earlier rounds saw, the (side, label) cones with the
+    memo that answers their queries, and the counters `stats` reports.  It
+    counts only the LPs it causes: its memo's cone LPs and its tree
+    solves'."""
 
     def __init__(self, m: SeparableMeasurement, cfg: SearchConfig) -> None:
         self.m, self.cfg = m, cfg
         self.frontier = seed_trees(m.n_outcomes)
         self.created: list[Tree] = []  # the last round's new trees
         self.trees_total = m.n_outcomes  # also the last uid given out
-        self.seen_sigs = {equivalence_signature(t) for t in self.frontier}
         self.seen_families: dict[str, list[frozenset[frozenset[int]]]] = {"A": [], "B": []}
         self.cones: dict[tuple[str, frozenset[int]], Cone] = {}  # one per side and label
         self.memo = IntersectionMemo()
         self.tree_lps = 0
         self.rounds: list[RoundStats] = []
         self.capped = False
-        self.dedup_hits = 0
-        self.congruence_skips = 0
 
     @property
     def lp_calls(self) -> int:
@@ -605,8 +601,8 @@ class _Search:
             memo_hits=self.memo.hits,
             trees_total=self.trees_total,
             capped=self.capped,
-            signature_dedup_hits=self.dedup_hits,
-            congruence_skips=self.congruence_skips,
+            signature_dedup_hits=0,
+            congruence_skips=0,
         )
 
     def first_protocol(self, trees: list[Tree]) -> Optional[LOCCProtocol]:
@@ -667,6 +663,19 @@ class _Search:
         ):
             self.capped = True
 
+        # Every frontier merged here has, keys being `canonical_key`s:
+        #   (I1) every root has exactly one child;
+        #   (I2) the roots' keys are pairwise distinct;
+        #   (I3) no tree has congruent siblings.
+        # Seeds have them: a B root over an A leaf, one j each.  Each new root
+        # has one child (I1).  An extended tree's is an old root, distinct by
+        # I2; a created tree's is the merged node M, whose children are its
+        # combo's roots, distinct by I2 (so I3), and whose key differs for
+        # distinct uid sets (`tried`) and from every old root's, M having two
+        # or more children.  A root's key holds its child's, so I2 holds again.
+        # Hence no two roots of a combo are congruent, no merged tree has
+        # congruent siblings, and none repeats an earlier `equivalence_signature`
+        # (M keys differ within a round; earlier trees are shallower).
         created: list[Tree] = []
         merged_subsets: list[tuple[int, ...]] = []
         tried: set[frozenset[int]] = set()
@@ -678,20 +687,8 @@ class _Search:
             keyset = frozenset(_root_key(t) for t in combo)
             if any(keyset <= prev for prev in side_seen[side]):
                 continue
-            if any(congruent(a.root, b.root) for a, b in itertools.combinations(combo, 2)):
-                self.congruence_skips += 1
-                continue
-            merged = merge_and_extend(combo)
-            if has_congruent_siblings(merged):
-                self.congruence_skips += 1
-                continue
-            sig = equivalence_signature(merged)
-            if sig in self.seen_sigs:
-                self.dedup_hits += 1
-                continue
-            self.seen_sigs.add(sig)
             self.trees_total += 1
-            created.append(replace(merged, uid=self.trees_total))
+            created.append(replace(merge_and_extend(combo), uid=self.trees_total))
             merged_subsets.append(tuple(sorted(t.uid for t in combo)))
             if self.trees_total > cfg.max_trees:
                 self.capped = True

@@ -21,6 +21,8 @@ from loccsynth.kraus_realization import realize, verify_instrument
 from loccsynth.protocol_tree import (
     LeafRef,
     OpConstraint,
+    canonical_key,
+    has_congruent_siblings,
     merge_and_extend,
     seed_trees,
     tree_to_text,
@@ -595,6 +597,82 @@ def test_no_cone_witness_is_read_during_synthesis(monkeypatch):
     monkeypatch.setattr(cone_geometry, "op_linear_combine", unreachable)
     for name, m in runs.items():
         assert synthesize(m, config) == want[name], name
+
+
+# --- the merge loop ------------------------------------------------------------
+
+
+def _assert_frontier_invariant(trees):
+    # I1-I3 of `_Search.round`: one child per root, pairwise distinct root
+    # keys, no congruent siblings.
+    keys = [canonical_key(t.root) for t in trees]
+    assert all(len(t.root.children) == 1 for t in trees)
+    assert len(set(keys)) == len(keys)
+    assert not any(has_congruent_siblings(t) for t in trees)
+
+
+@pytest.fixture
+def checked_rounds(monkeypatch):
+    """Make every `_Search.round` check the frontier it merged and the
+    trees it created; returns the stats of the rounds checked so far."""
+    checked = []
+    round_ = synthesis_engine._Search.round
+
+    def checking(run):
+        out = round_(run)
+        _assert_frontier_invariant(run.frontier)
+        _assert_frontier_invariant(run.created)
+        checked.append(run.rounds[-1])
+        return out
+
+    monkeypatch.setattr(synthesis_engine._Search, "round", checking)
+    return checked
+
+
+def _subsumption_instance():
+    # A one-way 3x3 measurement: an orthonormal A basis a1, a2, a3, and on B
+    # P = diag(1, 1, 0), e3 = diag(0, 0, 1) and a rotated basis b, b_perp
+    # of P's range.
+    a1, a2, a3 = proj((4, 0, -3)), proj((12, -15, 16)), proj((9, 20, 12))
+    p, e3 = HermitianOp.diag(1, 1, 0), HermitianOp.diag(0, 0, 1)
+    b, b_perp = proj((119, -120, 0)), proj((120, 119, 0))
+    outcomes = ((a1, p), (a2, p), (a1, e3), (a2, e3), (a3, b), (a3, b_perp), (a3, e3))
+    return SeparableMeasurement(3, 3, outcomes)
+
+
+@pytest.mark.parametrize("name", sorted(BUILTIN))
+def test_frontier_invariant_on_fixtures(name, checked_rounds):
+    rng = random.Random(f"invariant-{name}")
+    m = BUILTIN[name]()
+    cfg = SearchConfig(max_rounds=10, exhaustive=True)
+    for variant in [m] + [random_rescale(permute_outcomes(m, rng), rng) for _ in range(2)]:
+        synthesize(variant, cfg)
+    assert checked_rounds or name == "single_identity"
+
+
+def test_frontier_invariant_on_subsumption_and_criterion_6(checked_rounds):
+    synthesize(_subsumption_instance(), SearchConfig(max_rounds=10))
+    assert len(checked_rounds) == 3
+    # Criterion 6's seeds (tests/test_acceptance.py).
+    cfg = SearchConfig(max_rounds=6)
+    for i in range(500):
+        synthesize(random_small_measurement(random.Random(20_000 + i)), cfg)
+    assert len(checked_rounds) > 500
+
+
+def test_seen_family_subsumption_drops_merges():
+    # Round 3 holds merges whose label sets lie inside a family that round 1
+    # saw on the same side; dropping them leaves 18 new trees, not 22.
+    m = _subsumption_instance()
+    out = synthesize(m, SearchConfig(max_rounds=3))
+    assert isinstance(out, LOCCProtocol)
+    assert out.stats.trees_total == 37
+    assert [r.trees_created for r in out.stats.rounds] == [5, 7, 18]
+    assert out.stats.lp_calls == 52
+    out = synthesize(m, SearchConfig(max_rounds=2))
+    assert isinstance(out, NoLoccCertificate)
+    assert out.verdict == NO_LOCC_WITHIN_L
+    assert out.stats.trees_total == 19
 
 
 def test_search_config_validation():
