@@ -1,10 +1,12 @@
 """Convex-cone intersection decisions over exact rationals.
 
 The decision kernel is a two-phase simplex with Bland's anti-cycling rule on
-an integer tableau over one common denominator, with Bareiss updates: the
+an integer tableau with Bareiss updates, each row over its own denominator,
+so a pivot rewrites only the rows with a nonzero entry in its column: the
 same Bland pivots a Fraction tableau makes.  `lp_feasible` and
 `lp_maximize` hand it each LP without its 0 = 0 rows, which changes no
-pivot.  Beside it sits the strict-positivity LP, `strict_positive_solution`
+pivot, and `lp_feasible` answers an LP that one row proves infeasible
+without it.  Beside it sits the strict-positivity LP, `strict_positive_solution`
 (a solution with every coordinate positive): one homogeneous phase-1 LP
 that strict cone queries, measurement validation and tree solving share.
 On top sit the cone queries the synthesis engine consumes: pairwise/mutual
@@ -73,66 +75,93 @@ class LPProblem:
 class _Tableau:
     """Dense exact simplex tableau with Bland pivoting.
 
-    An integer tableau over one common denominator d > 0: the rational
-    tableau is a / d with right-hand side b / d.  It starts from integer
-    rows and rhs (`_kernel_problem` scales a rational LP to integers).
-    Pivots are fraction-free (Bareiss): every update divides exactly by d.
+    A fraction-free (Bareiss) integer tableau whose rows each keep their
+    own positive denominator: row i is the rational row a[i] / den[i] with
+    right-hand side b[i] / den[i].  It starts from integer rows and rhs
+    (`_kernel_problem` scales a rational LP to integers), every denominator
+    1.  d is the common denominator of the Bareiss tableau, the last pivot
+    entry: every rational row times d is an integer row.  A pivot rewrites
+    only the rows with a nonzero entry in its column; the others keep their
+    rational value and their denominator.  While `_minimize` runs, one more
+    row, the last, holds the reduced costs.
     """
 
     def __init__(self, rows, rhs, n_vars: int):
         self.n = n_vars
-        self.m = len(rows)
+        self.m = m = len(rows)
         self.a: list[list[int]] = []
         self.b: list[int] = []
         for i, (row, r) in enumerate(zip(rows, rhs)):
             sign = -1 if r < 0 else 1
-            self.a.append([sign * v for v in row])
-            self.b.append(sign * r)
             # One artificial variable per row; artificials form the first basis.
-            self.a[i].extend(1 if k == i else 0 for k in range(self.m))
+            artificial = [0] * m
+            artificial[i] = 1
+            self.a.append([sign * v for v in row] + artificial)
+            self.b.append(sign * r)
+        self.den = [1] * m
         self.d = 1
-        self.total = self.n + self.m
-        self.basis = [self.n + i for i in range(self.m)]
-        self.basic = set(self.basis)
+        self.total = n_vars + m
+        self.basis = [n_vars + i for i in range(m)]
 
     def _pivot(self, row: int, col: int) -> None:
-        a, b, d = self.a, self.b, self.d
-        prow, pb = a[row], b[row]
+        a, b, den, d = self.a, self.b, self.den, self.d
+        prow, pb, s = a[row], b[row], den[row]
+        if s != d:
+            # Bring the pivot row to d: exact, since the row times d is the
+            # Bareiss tableau's row, whose entries are integers.
+            prow = [v * d // s for v in prow]
+            pb = pb * d // s
         p = prow[col]
-        for i in range(self.m):
-            f = a[i][col]
-            if i == row or (f == 0 and p == d):
-                continue
-            a[i] = [(p * v - f * w) // d for v, w in zip(a[i], prow)]
-            b[i] = (p * b[i] - f * pb) // d
         if p < 0:
-            # Only the cleanup of leftover artificials pivots on p < 0.
-            self.a = [[-v for v in r] for r in a]
-            self.b = [-v for v in b]
-            p = -p
+            # Only the cleanup of leftover artificials pivots on p < 0.  The
+            # negated pivot row negates every rewritten row, so the new
+            # denominator -p is positive.
+            prow = [-v for v in prow]
+            pb, p = -pb, -p
+        for i, r in enumerate(a):
+            f = r[col]
+            if f and i != row:
+                # Row i at d is r * d / s; its Bareiss update divides by d,
+                # so at its own denominator it divides by s, exactly.
+                s = den[i]
+                a[i] = [(p * v - f * w) // s for v, w in zip(r, prow)]
+                b[i] = (p * b[i] - f * pb) // s
+                den[i] = p
+        a[row], b[row], den[row] = prow, pb, p
         self.d = p
-        self.basic.remove(self.basis[row])
-        self.basic.add(col)
         self.basis[row] = col
 
     def _minimize(self, cost: list[int], allowed: int) -> str:
         """Bland-rule minimization of the integer cost . x over columns < allowed."""
+        a, b, den, basis, m, d = self.a, self.b, self.den, self.basis, self.m, self.d
+        # The reduced costs cost - c_B B^-1 A, times d, as row m: every pivot
+        # updates it like any other row, and a basic column reads 0 in it.
+        z = [c * d for c in cost]
+        zb = 0
+        for i, v in enumerate(basis):
+            c = cost[v]
+            if c:
+                row, rb, s = a[i], b[i], den[i]
+                if s != d:
+                    row, rb = [x * d // s for x in row], rb * d // s
+                z = [u - c * x for u, x in zip(z, row)]
+                zb -= c * rb
+        a.append(z)
+        b.append(zb)
+        den.append(d)
         while True:
-            a, b, basis = self.a, self.b, self.basis
-            priced = [(cost[v], a[i]) for i, v in enumerate(basis) if cost[v]]
             entering = -1
-            for j in range(allowed):
-                # The reduced cost of column j, times d.
-                if j not in self.basic and self.d * cost[j] < sum(
-                    c * row[j] for c, row in priced
-                ):
+            for j, r in enumerate(a[m][:allowed]):
+                if r < 0:
                     entering = j
                     break
             if entering < 0:
-                return "optimal"
-            # Smallest (b[i] / a[i][entering], basis[i]) over positive entries.
+                status = "optimal"
+                break
+            # Smallest (b[i] / a[i][entering], basis[i]) over positive
+            # entries: each row's denominator cancels in its own ratio.
             leaving = -1
-            for i in range(self.m):
+            for i in range(m):
                 coef = a[i][entering]
                 if coef <= 0:
                     continue
@@ -142,14 +171,17 @@ class _Tableau:
                         continue
                 leaving = i
             if leaving < 0:
-                return "unbounded"
+                status = "unbounded"
+                break
             self._pivot(leaving, entering)
+        del a[m], b[m], den[m]
+        return status
 
     def solution(self) -> list[Fraction]:
         x = [Fraction(0)] * self.n
         for i, v in enumerate(self.basis):
             if v < self.n:
-                x[v] = Fraction(self.b[i], self.d)
+                x[v] = Fraction(self.b[i], self.den[i])
         return x
 
 
@@ -157,7 +189,8 @@ def _solve(p: LPProblem) -> tuple[str, Optional[list[Fraction]], Optional[Fracti
     """Two-phase simplex.  Returns (status, point, objective value)."""
     t = _Tableau(p.rows, p.rhs, p.n_vars)
     t._minimize([0] * p.n_vars + [1] * t.m, t.total)
-    if sum(t.b[i] for i in range(t.m) if t.basis[i] >= p.n_vars) > 0:
+    # Every b[i] is >= 0, so the phase-1 optimum is positive when one is.
+    if any(t.b[i] for i in range(t.m) if t.basis[i] >= p.n_vars):
         return "infeasible", None, None
     # Drive leftover artificials out of the basis where possible.
     for i in range(t.m):
@@ -212,12 +245,30 @@ def _kernel_problem(
     return LPProblem(rows, rhs, p.n_vars, objective)
 
 
+def _one_row_infeasible(p: LPProblem) -> bool:
+    """Whether one row a . x = r has r != 0 and no entry of r's sign.
+
+    Then a . x has the sign opposite to r, or is 0, for every x >= 0, so
+    that row alone has no solution: a one-row Farkas certificate, the
+    one-row case of LP presolve (Andersen & Andersen 1995).  A row 0 = 0
+    has r = 0 and never counts.
+    """
+    for row, r in zip(p.rows, p.rhs):
+        if r > 0 and max(row, default=0) <= 0 or r < 0 and min(row, default=0) >= 0:
+            return True
+    return False
+
+
 def lp_feasible(p: LPProblem) -> tuple[bool, Optional[list[Fraction]]]:
     """Exact feasibility of rows . x = rhs, x >= 0.
 
     Unboundedness of an optional objective is irrelevant here: any run that
-    finds a basic point reports feasible.
+    finds a basic point reports feasible.  An LP that one row proves
+    infeasible (`_one_row_infeasible`) builds no tableau: the simplex would
+    report it infeasible too, and no point is returned either way.
     """
+    if _one_row_infeasible(p):
+        return False, None
     status, point, _ = _solve(_kernel_problem(p, None))
     if status == "infeasible":
         return False, None

@@ -182,6 +182,12 @@ def merge_and_extend(trees: Sequence[Tree]) -> Tree:
     node keeps the smallest participating label as its representative, one
     equality constraint is recorded per pair of merged labels, and the new
     left node is labeled by the union over the merged node's children.
+
+    Copy indices are re-issued per outcome j in leaf order, tree by tree.
+    A tree whose re-issued indices equal its own (on the search's merges,
+    nearly every one: its outcomes are new to the trees before it)
+    contributes its own root and ledger objects: remapping it would rebuild
+    equal nodes, in the canonical order they already have.
     """
     if not trees:
         raise ValueError("nothing to merge")
@@ -207,8 +213,12 @@ def merge_and_extend(trees: Sequence[Tree]) -> Tree:
             k = counters.get(ref.j, 0) + 1
             counters[ref.j] = k
             mapping[ref] = LeafRef(ref.j, k)
-        roots.append(_map_node(t.root, mapping))
-        ledgers.extend(_map_ledger(t.ledger, mapping))
+        if all(new == ref for ref, new in mapping.items()):
+            roots.append(t.root)
+            ledgers.extend(t.ledger)
+        else:
+            roots.append(_map_node(t.root, mapping))
+            ledgers.extend(_map_ledger(t.ledger, mapping))
 
     labels = [r.terms for r in roots]
     representative = min(labels, key=lambda ts: (len(ts), tuple(sorted(ts))))

@@ -622,8 +622,9 @@ class _Search:
         m, cfg, side_seen = self.m, self.cfg, self.seen_families
         # The frontier is extended only when a round runs after it.
         if self.rounds:
+            extended = [(merge_and_extend([t]), t.uid) for t in self.frontier]
             self.frontier = [
-                replace(merge_and_extend([t]), uid=t.uid) for t in self.frontier
+                Tree(e.root, e.ledger, e.depth, uid) for e, uid in extended
             ] + self.created
         side = self.frontier[0].root.side
         lp_base, hits_base = self.lp_calls, self.memo.hits
@@ -688,7 +689,8 @@ class _Search:
             if any(keyset <= prev for prev in side_seen[side]):
                 continue
             self.trees_total += 1
-            created.append(replace(merge_and_extend(combo), uid=self.trees_total))
+            merged = merge_and_extend(combo)
+            created.append(Tree(merged.root, merged.ledger, merged.depth, self.trees_total))
             merged_subsets.append(tuple(sorted(t.uid for t in combo)))
             if self.trees_total > cfg.max_trees:
                 self.capped = True

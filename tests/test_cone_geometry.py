@@ -194,8 +194,9 @@ def test_lp_kernel_matches_fraction_oracle(monkeypatch):
 def test_lp_cleanup_pivot_on_negative_entry(monkeypatch):
     # Phase 1 ends with the artificial of the second row (-3 x2 = 0) basic
     # at zero.  The cleanup pivots it out on its x2 entry, -6 over the
-    # common denominator 2, and the integer tableau is then negated so that
-    # its denominator stays positive.
+    # common denominator 2, and the rows it rewrites are negated so that
+    # their denominator stays positive.  That row last changed at the start
+    # (it keeps denominator 1, reading -3), so the entry is read at d.
     rows = frac_rows([[2, 0, 1], [0, -3, 0], [-4, 0, -2]])
     rhs = (Fraction(2), Fraction(0), Fraction(-4))
     problem = LPProblem(rows, rhs, 3, (Fraction(0), Fraction(0), Fraction(1, 2)))
@@ -203,9 +204,9 @@ def test_lp_cleanup_pivot_on_negative_entry(monkeypatch):
     pivot = cone_geometry._Tableau._pivot
 
     def spy(tableau, row, col):
-        pivots.append(tableau.a[row][col])
+        pivots.append(tableau.a[row][col] * tableau.d // tableau.den[row])
         pivot(tableau, row, col)
-        assert tableau.d > 0
+        assert tableau.d > 0 and all(s > 0 for s in tableau.den)
 
     monkeypatch.setattr(cone_geometry._Tableau, "_pivot", spy)
     got = lp_maximize(problem)
@@ -268,27 +269,48 @@ def _oracle_answers(p, runs, monkeypatch):
     return plain, maximum, strict
 
 
+def _one_row_certificate(problem):
+    """Whether some row's nonzero rhs has a sign none of its entries has."""
+    return any(
+        r and all(v * r <= 0 for v in row) for row, r in zip(problem.rows, problem.rhs)
+    )
+
+
 def test_lp_rows_reading_zero_equals_zero_change_no_pivot(monkeypatch):
     # Every LP entry point drops rows 0 = 0 before the kernel runs, and
     # scales the rest to integers by one factor; the kernel then makes the
     # oracle's pivots on the full LP: the same entering columns, with each
     # row and each artificial column mapped back to the row it came from.
-    # So every answer is the oracle's.
+    # So every answer is the oracle's.  A feasibility LP that one row proves
+    # infeasible makes no kernel run; the oracle finds it infeasible too.
     rng = random.Random(808)
     runs, oracle_runs = [], []
     _record_run_pivots(monkeypatch, cone_geometry._Tableau, runs)
     _record_run_pivots(monkeypatch, oracle_lp._Tableau, oracle_runs)
     monkeypatch.setattr(cone_geometry, "_solve", _logged(cone_geometry._solve, runs))
-    problems = [_with_empty_rows(_random_lp(rng)[0], rng) for _ in range(350)]
+    problems = [_with_empty_rows(_random_lp(rng)[0], rng) for _ in range(400)]
     # Only empty rows: the kernel runs on an LP with no rows at all.
     empty = LPProblem(frac_rows([[0, 0]] * 2), (Fraction(0),) * 2, 2, frac_rows([[1, -1]])[0])
     problems.append(empty)
     seen = Counter()
     for problem in problems:
         got = _lp_answers(problem)
-        assert got == _oracle_answers(problem, oracle_runs, monkeypatch), problem
-        assert len(runs) == len(oracle_runs) == 3
-        for (small, pivots), (full, want) in zip(runs, oracle_runs):
+        want = _oracle_answers(problem, oracle_runs, monkeypatch)
+        assert got == want, problem
+        assert len(oracle_runs) == 3
+        (plain, _), _, (strict, _) = oracle_runs
+        if _one_row_certificate(plain):
+            assert want[0] == (False, None), problem
+        if _one_row_certificate(strict):
+            assert want[2] is None, problem
+        solved = [
+            run
+            for run in oracle_runs
+            if run[0].objective is not None or not _one_row_certificate(run[0])
+        ]
+        seen["decided"] += 3 - len(solved)
+        assert len(runs) == len(solved)
+        for (small, pivots), (full, want) in zip(runs, solved):
             kept = _nonempty_rows(full)
             entries = [v for i in kept for v in (*full.rows[i], full.rhs[i])]
             scale = math.lcm(*(v.denominator for v in entries))
@@ -314,6 +336,7 @@ def test_lp_rows_reading_zero_equals_zero_change_no_pivot(monkeypatch):
     for kind in ("infeasible", "unbounded", "optimal", "strict_found"):
         assert seen[kind] >= 10, (kind, seen)
     assert seen["pivots"] > 1000 and seen["dropped"] > 3 * len(problems), seen
+    assert seen["decided"] >= 10, seen
 
 
 def test_one_positive_factor_changes_no_returned_point():
@@ -359,6 +382,108 @@ def test_lp_keeps_a_zero_row_with_nonzero_rhs(b):
     assert lp_maximize(problem) == ("infeasible", None, None)
     assert strict_positive_solution(problem.rows, problem.rhs, 2) is None
     assert oracle_lp._solve(problem)[0] == "infeasible"
+
+
+def test_one_row_certificate_builds_no_tableau(monkeypatch):
+    # A row whose nonzero rhs has a sign none of its entries has (a row
+    # 0 = r included) has no solution x >= 0.  `lp_feasible`, and so the
+    # strict LP, whose row [a | -r] keeps that property, answers such an LP
+    # without building a tableau, as the oracle answers it.
+    rng = random.Random(1995)
+    built = []
+    init = cone_geometry._Tableau.__init__
+
+    def counting(tableau, *args):
+        built.append(args)
+        init(tableau, *args)
+
+    monkeypatch.setattr(cone_geometry._Tableau, "__init__", counting)
+    seen = Counter()
+    for _ in range(200):
+        problem, _ = _random_lp(rng)
+        sign = rng.choice((1, -1))
+        r = sign * Fraction(rng.randint(1, 5), rng.randint(1, 3))
+        planted = tuple(
+            -sign * Fraction(rng.randint(0, 4), rng.randint(1, 3))
+            for _ in range(problem.n_vars)
+        )
+        at = rng.randint(0, len(problem.rows))
+        rows = problem.rows[:at] + (planted,) + problem.rows[at:]
+        rhs = problem.rhs[:at] + (r,) + problem.rhs[at:]
+        problem = LPProblem(rows, rhs, problem.n_vars, problem.objective)
+        got = lp_feasible(LPProblem(rows, rhs, problem.n_vars))
+        got_strict = strict_positive_solution(rows, rhs, problem.n_vars)
+        assert built == [], problem
+        plain, maximum, strict = _oracle_answers(problem, [], monkeypatch)
+        assert got == plain == (False, None), problem
+        assert got_strict is strict is None, problem
+        assert maximum[0] == "infeasible" and lp_maximize(problem) == maximum
+        built.clear()
+        seen["negative_rhs" if sign < 0 else "positive_rhs"] += 1
+        seen["zero_row"] += not any(planted)
+        seen["first" if at == 0 else "last" if at == len(rows) - 1 else "inside"] += 1
+    for kind in ("negative_rhs", "positive_rhs", "zero_row", "first", "last", "inside"):
+        assert seen[kind] >= 5, (kind, seen)
+
+
+def _engine_lps():
+    """Every LP `synthesize` hands `lp_feasible` on the bundled fixtures at
+    L = 10, exhaustive: weight, cone and tree LPs."""
+    problems = []
+    feasible = cone_geometry.lp_feasible
+
+    def recording(problem):
+        problems.append(problem)
+        return feasible(problem)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cone_geometry, "lp_feasible", recording)
+        patch.setattr(synthesis_engine, "lp_feasible", recording)
+        for name in sorted(BUILTIN):
+            synthesize(BUILTIN[name](), SearchConfig(max_rounds=10, exhaustive=True))
+    return problems
+
+
+def test_lp_kernel_matches_fraction_oracle_on_engine_lps(monkeypatch):
+    # The engine's LPs are larger and sparser than the random ones above:
+    # many pivots leave a row untouched, and a later pivot then rewrites it
+    # from its own denominator or makes it the pivot row.  On each, the
+    # kernel makes the oracle's pivots and returns its status and point,
+    # and `lp_feasible` gives the oracle's answer.
+    problems = _engine_lps()
+    assert len(problems) == 176
+    pivots, oracle_pivots = [], []
+    seen = Counter()
+    pivot = cone_geometry._Tableau._pivot
+
+    def recording(tableau, row, col):
+        pivots.append((row, col))
+        d, den, a = tableau.d, tableau.den, tableau.a
+        seen["untouched"] += sum(1 for i, r in enumerate(a) if i != row and r[col] == 0)
+        seen["caught_up"] += sum(1 for i, r in enumerate(a) if r[col] and den[i] != d)
+        pivot(tableau, row, col)
+
+    monkeypatch.setattr(cone_geometry._Tableau, "_pivot", recording)
+    _record_pivots(monkeypatch, oracle_lp._Tableau, oracle_pivots)
+    most_rows = 0
+    for problem in problems:
+        kept = _rational_rows(problem, None)
+        got = cone_geometry._solve(cone_geometry._kernel_problem(problem, None))
+        want = oracle_lp._solve(kept)
+        assert got == want, problem
+        assert pivots == oracle_pivots, problem
+        assert lp_feasible(problem) == (
+            (False, None) if want[0] == "infeasible" else (True, want[1])
+        )
+        pivots.clear()
+        oracle_pivots.clear()
+        seen[want[0]] += 1
+        most_rows = max(most_rows, len(kept.rows))
+        seen["one_row"] += cone_geometry._one_row_infeasible(problem)
+    assert most_rows == 19
+    for kind in ("optimal", "infeasible", "one_row"):
+        assert seen[kind] >= 20, (kind, seen)
+    assert seen["untouched"] >= 1000 and seen["caught_up"] >= 200, seen
 
 
 # --- strict_positive_solution ------------------------------------------------

@@ -1,6 +1,8 @@
 """Symbolic protocol trees: seeding, merging, congruence, collapse."""
 
+import itertools
 import random
+from collections import Counter
 
 import pytest
 
@@ -8,13 +10,17 @@ from helpers import (
     ledger_solution,
     proj,
     random_merged_tree,
+    random_small_measurement,
     sum_rule_values_hold,
 )
 
+from loccsynth import protocol_tree, synthesis_engine
 from loccsynth.fixtures import BUILTIN
 from loccsynth.protocol_tree import (
     LeafRef,
     OpConstraint,
+    Tree,
+    TreeNode,
     canonical_key,
     collapse_congruent,
     congruent,
@@ -23,12 +29,13 @@ from loccsynth.protocol_tree import (
     has_congruent_siblings,
     leaf_refs,
     merge_and_extend,
+    other_side,
     seed_trees,
     sum_rule_consistent,
     tree_to_text,
     validate_tree,
 )
-from loccsynth.synthesis_engine import SeparableMeasurement
+from loccsynth.synthesis_engine import SearchConfig, SeparableMeasurement, synthesize
 
 
 def ref(j, k):
@@ -109,6 +116,75 @@ def test_merge_representative_prefers_fewest_terms():
     combined = merge_and_extend([pair, deep[2]])
     merged_node = combined.root.children[0]
     assert merged_node.terms == frozenset({ref(3, 1)})
+
+
+def _remapping_merge(trees):
+    """`merge_and_extend` on two or more trees with every tree remapped to
+    its re-issued copy indices and its children re-sorted, unchanged
+    indices or not."""
+    side = trees[0].root.side
+    counters, roots, ledger = Counter(), [], []
+    for t in trees:
+        mapping = {}
+        for r in leaf_refs(t):
+            counters[r.j] += 1
+            mapping[r] = LeafRef(r.j, counters[r.j])
+        roots.append(protocol_tree._map_node(t.root, mapping))
+        ledger.extend(protocol_tree._map_ledger(t.ledger, mapping))
+    labels = [r.terms for r in roots]
+    for a, b in itertools.combinations(labels, 2):
+        if a != b:
+            ledger.append(OpConstraint.make(side, a, b))
+    representative = min(labels, key=lambda ts: (len(ts), tuple(sorted(ts))))
+    children = protocol_tree._sorted_children([c for r in roots for c in r.children])
+    merged = TreeNode(side, representative, children, None)
+    label = frozenset().union(*(c.terms for c in children))
+    root = TreeNode(other_side(side), label, (merged,), None)
+    ledger = tuple(sorted(set(ledger), key=OpConstraint.sort_key))
+    return Tree(root, ledger, trees[0].depth + 1)
+
+
+def _search_merges():
+    """Every merge of two or more trees the search makes on the bundled
+    fixtures at L = 10, exhaustive, and on 200 criterion-6 seeds at L = 6."""
+    combos = []
+    merge = synthesis_engine.merge_and_extend
+
+    def recording(trees):
+        if len(trees) > 1:
+            combos.append(tuple(trees))
+        return merge(trees)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(synthesis_engine, "merge_and_extend", recording)
+        for name in sorted(BUILTIN):
+            synthesize(BUILTIN[name](), SearchConfig(max_rounds=10, exhaustive=True))
+        for i in range(200):
+            m = random_small_measurement(random.Random(20_000 + i))
+            synthesize(m, SearchConfig(max_rounds=6))
+    return combos
+
+
+def test_merge_keeps_trees_whose_copy_indices_do_not_change():
+    # Every merge the search makes equals the merge that remaps every tree.
+    # A tree whose re-issued copy indices equal its own is not rebuilt: the
+    # merged node holds its root's children, the very objects.
+    seen = Counter()
+    for combo in _search_merges():
+        got = merge_and_extend(combo)
+        assert got == _remapping_merge(combo)
+        merged_children = got.root.children[0].children
+        counters = Counter()
+        for t in combo:
+            unchanged = True
+            for r in leaf_refs(t):
+                counters[r.j] += 1
+                unchanged &= counters[r.j] == r.k
+            if unchanged:
+                for child in t.root.children:
+                    assert any(child is c for c in merged_children)
+            seen["kept" if unchanged else "remapped"] += 1
+    assert seen["kept"] >= 700 and seen["remapped"] >= 2, seen
 
 
 # --- congruence -------------------------------------------------------------
