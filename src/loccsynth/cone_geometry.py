@@ -4,9 +4,10 @@ The decision kernel is a two-phase simplex with Bland's anti-cycling rule on
 an integer tableau with Bareiss updates, each row over its own denominator,
 so a pivot rewrites only the rows with a nonzero entry in its column: the
 same Bland pivots a Fraction tableau makes.  `lp_feasible` and
-`lp_maximize` hand it each LP without its 0 = 0 rows, which changes no
-pivot, and `lp_feasible` answers an LP that one row proves infeasible
-without it.  Beside it sits the strict-positivity LP, `strict_positive_solution`
+`lp_maximize` share one entry pass over an LP's rows (`_kernel_rows`): it
+answers an LP that one row proves infeasible with no tableau, and hands
+the kernel the other rows without those that read 0 = 0, which changes no
+pivot.  Beside it sits the strict-positivity LP, `strict_positive_solution`
 (a solution with every coordinate positive): one homogeneous phase-1 LP
 that strict cone queries, measurement validation and tree solving share.
 On top sit the cone queries the synthesis engine consumes: pairwise/mutual
@@ -26,7 +27,9 @@ cone query proves nothing PSD and vectorizes nothing again.
 Every LP the package builds is integer: cone rows over the rays,
 validation and tree rows over a measurement's integer coordinates
 (`SeparableMeasurement.table`).  Each is the rational LP times one
-positive factor, which changes no pivot and no returned point.
+positive factor, which changes no pivot and no returned point.  Each is
+built as an `LPProblem` once, and reaches the kernel through
+`lp_feasible`.
 
 Whether cones intersect depends only on the cones as sets of operators, so
 `IntersectionMemo` answers a yes/no query once per key: the set of cones,
@@ -54,7 +57,7 @@ class LPProblem:
     `objective`, when present, is a row to maximize over the feasible set.
     Coefficients may be `Fraction`s or `int`s.  An all-integer LP goes to
     the integer kernel as it is; any other is scaled to integers first
-    (`_kernel_problem`).
+    (`_kernel_rows`).
     """
 
     rows: tuple[tuple[Fraction, ...], ...]
@@ -78,7 +81,7 @@ class _Tableau:
     A fraction-free (Bareiss) integer tableau whose rows each keep their
     own positive denominator: row i is the rational row a[i] / den[i] with
     right-hand side b[i] / den[i].  It starts from integer rows and rhs
-    (`_kernel_problem` scales a rational LP to integers), every denominator
+    (`_kernel_rows` scales a rational LP to integers), every denominator
     1.  d is the common denominator of the Bareiss tableau, the last pivot
     entry: every rational row times d is an integer row.  A pivot rewrites
     only the rows with a nonzero entry in its column; the others keep their
@@ -185,94 +188,82 @@ class _Tableau:
         return x
 
 
-def _solve(p: LPProblem) -> tuple[str, Optional[list[Fraction]], Optional[Fraction]]:
-    """Two-phase simplex.  Returns (status, point, objective value)."""
-    t = _Tableau(p.rows, p.rhs, p.n_vars)
-    t._minimize([0] * p.n_vars + [1] * t.m, t.total)
+def _kernel_rows(p: LPProblem) -> Optional[tuple[list, list]]:
+    """p's rows and rhs as the kernel takes them, or None when one row
+    proves p infeasible: one pass over the rows.
+
+    A row a . x = r with r != 0 and no entry of r's sign (a row 0 = r
+    included) has no solution: a . x has the sign opposite to r, or is 0,
+    for every x >= 0.  That is a one-row Farkas certificate, the one-row
+    case of LP presolve (Andersen & Andersen 1995); the simplex would
+    report the LP infeasible too, and no point is returned either way.
+
+    A row that reads 0 = 0 is skipped: it changes no pivot.  It never
+    leaves the basis (all its entries stay 0), so its artificial variable
+    stays basic at 0 and never enters; it adds nothing to any reduced
+    cost, to the phase-1 sum or to the common denominator; and the other
+    rows and their artificials keep their relative order, which is all
+    Bland's rule reads.  So the solve makes the same pivots and returns the
+    same status, point and value on fewer rows.
+
+    If a kept entry is not an `int`, every kept row and the rhs are
+    multiplied by the lcm of all their denominators: one positive factor
+    for the whole LP, which rescales every artificial variable alike, so
+    each sign and ratio Bland's rule reads, and the point, are those of
+    the rational LP.  The package's own LPs are integer already.
+    """
+    rows, rhs = [], []
+    for row, r in zip(p.rows, p.rhs):
+        if r > 0 and max(row, default=0) <= 0 or r < 0 and min(row, default=0) >= 0:
+            return None
+        if r or any(row):
+            rows.append(row)
+            rhs.append(r)
+    if any(type(v) is not int for v in itertools.chain(rhs, *rows)):
+        scale = math.lcm(*(v.denominator for v in itertools.chain(rhs, *rows)))
+        rows = [[v.numerator * (scale // v.denominator) for v in row] for row in rows]
+        rhs = [v.numerator * (scale // v.denominator) for v in rhs]
+    return rows, rhs
+
+
+def _solve(
+    rows, rhs, n_vars: int, objective: Optional[tuple[Fraction, ...]] = None
+) -> tuple[str, Optional[list[Fraction]], Optional[Fraction]]:
+    """Two-phase simplex on integer rows and rhs (`_kernel_rows`).  Returns
+    (status, point, objective value)."""
+    t = _Tableau(rows, rhs, n_vars)
+    t._minimize([0] * n_vars + [1] * t.m, t.total)
     # Every b[i] is >= 0, so the phase-1 optimum is positive when one is.
-    if any(t.b[i] for i in range(t.m) if t.basis[i] >= p.n_vars):
+    if any(t.b[i] for i in range(t.m) if t.basis[i] >= n_vars):
         return "infeasible", None, None
     # Drive leftover artificials out of the basis where possible.
     for i in range(t.m):
-        if t.basis[i] >= p.n_vars:
-            for j in range(p.n_vars):
+        if t.basis[i] >= n_vars:
+            for j in range(n_vars):
                 if t.a[i][j] != 0:
                     t._pivot(i, j)
                     break
-    if p.objective is None:
+    if objective is None:
         return "optimal", t.solution(), None
     # Artificial columns must never re-enter the basis in phase 2.
-    scale = math.lcm(*(c.denominator for c in p.objective))
-    cost = [-c.numerator * (scale // c.denominator) for c in p.objective] + [0] * t.m
-    status = t._minimize(cost, p.n_vars)
+    scale = math.lcm(*(c.denominator for c in objective))
+    cost = [-c.numerator * (scale // c.denominator) for c in objective] + [0] * t.m
+    status = t._minimize(cost, n_vars)
     x = t.solution()
     if status == "unbounded":
         return "unbounded", x, None
-    value = sum(c * v for c, v in zip(p.objective, x))
+    value = sum(c * v for c, v in zip(objective, x))
     return "optimal", x, value
-
-
-def _kernel_problem(
-    p: LPProblem, objective: Optional[tuple[Fraction, ...]]
-) -> LPProblem:
-    """p with `objective`, minus every row that reads 0 = 0, with integer
-    rows and rhs.
-
-    A row whose coefficients and rhs are all zero changes no pivot: it
-    never leaves the basis (all its entries stay 0), so its artificial
-    variable stays basic at 0 and never enters; it adds nothing to any
-    reduced cost, to the phase-1 sum or to the common denominator; and the
-    other rows and their artificials keep their relative order, which is
-    all Bland's rule reads.  So the solve makes the same pivots and returns
-    the same status, point and value on fewer rows.  A row 0 = b with
-    b != 0 stays: it makes the LP infeasible.
-
-    An LP with a non-integer entry has every row and the rhs multiplied by
-    the lcm of all denominators: one positive factor for the whole LP, which
-    rescales every artificial variable alike, so each sign and ratio
-    Bland's rule reads, and the point, are those of the rational LP.  The
-    package's own LPs are integer already.
-    """
-    keep = [i for i, row in enumerate(p.rows) if p.rhs[i] or any(row)]
-    rows = tuple(p.rows[i] for i in keep)
-    rhs = tuple(p.rhs[i] for i in keep)
-    if any(type(v) is not int for v in itertools.chain(rhs, *rows)):
-        scale = math.lcm(*(v.denominator for v in itertools.chain(rhs, *rows)))
-        rows = tuple(
-            tuple(v.numerator * (scale // v.denominator) for v in row) for row in rows
-        )
-        rhs = tuple(v.numerator * (scale // v.denominator) for v in rhs)
-    return LPProblem(rows, rhs, p.n_vars, objective)
-
-
-def _one_row_infeasible(p: LPProblem) -> bool:
-    """Whether one row a . x = r has r != 0 and no entry of r's sign.
-
-    Then a . x has the sign opposite to r, or is 0, for every x >= 0, so
-    that row alone has no solution: a one-row Farkas certificate, the
-    one-row case of LP presolve (Andersen & Andersen 1995).  A row 0 = 0
-    has r = 0 and never counts.
-    """
-    for row, r in zip(p.rows, p.rhs):
-        if r > 0 and max(row, default=0) <= 0 or r < 0 and min(row, default=0) >= 0:
-            return True
-    return False
 
 
 def lp_feasible(p: LPProblem) -> tuple[bool, Optional[list[Fraction]]]:
     """Exact feasibility of rows . x = rhs, x >= 0.
 
     Unboundedness of an optional objective is irrelevant here: any run that
-    finds a basic point reports feasible.  An LP that one row proves
-    infeasible (`_one_row_infeasible`) builds no tableau: the simplex would
-    report it infeasible too, and no point is returned either way.
-    """
-    if _one_row_infeasible(p):
-        return False, None
-    status, point, _ = _solve(_kernel_problem(p, None))
-    if status == "infeasible":
-        return False, None
-    return True, point
+    finds a basic point reports feasible."""
+    kept = _kernel_rows(p)
+    point = None if kept is None else _solve(*kept, p.n_vars)[1]
+    return point is not None, point
 
 
 def lp_maximize(p: LPProblem) -> tuple[str, Optional[list[Fraction]], Optional[Fraction]]:
@@ -282,7 +273,10 @@ def lp_maximize(p: LPProblem) -> tuple[str, Optional[list[Fraction]], Optional[F
     point to phase 2."""
     if p.objective is None:
         raise ValueError("lp_maximize needs an objective row")
-    return _solve(_kernel_problem(p, p.objective))
+    kept = _kernel_rows(p)
+    if kept is None:
+        return "infeasible", None, None
+    return _solve(*kept, p.n_vars, p.objective)
 
 
 def strict_positive_solution(rows, rhs, n: int) -> Optional[list[Fraction]]:
@@ -295,13 +289,13 @@ def strict_positive_solution(rows, rhs, n: int) -> Optional[list[Fraction]]:
     [A | -b] y = -[A | -b] . 1 over y >= 0, and x is (1 + y_x) / (1 + y_s).
     Bland's rule makes the returned point depend on the column and row
     order, but not on one positive factor applied to every row and the
-    rhs: the package's callers pass integer rows, each LP scaled by its
-    own common denominator.
+    rhs: the package's callers pass integer tuple rows, each LP scaled by
+    its own common denominator, and the LP keeps them as they are when
+    rhs = 0.
     """
     homogeneous = not any(rhs)
     if not homogeneous:
-        rows = [(*row, -b) for row, b in zip(rows, rhs)]
-    rows = tuple(tuple(row) for row in rows)
+        rows = tuple((*row, -b) for row, b in zip(rows, rhs))
     rhs = tuple(-sum(row) for row in rows)
     feasible, point = lp_feasible(LPProblem(rows, rhs, n if homogeneous else n + 1))
     if not feasible:
@@ -424,8 +418,9 @@ class IntersectionWitness:
 
 def _intersection_problem(
     cones: Sequence[Cone], strict: bool
-) -> tuple[LPProblem, list[int]]:
-    """Encode 'all cones share a common point' as an integer equality LP.
+) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...], int, list[int]]:
+    """Encode 'all cones share a common point' as an integer equality LP:
+    its rows, rhs and number of unknowns, and each cone's first column.
 
     Unknowns are the coefficients x of every cone's integer rays.  The
     rows say cone 0's combination minus cone i's combination is zero, one
@@ -454,7 +449,7 @@ def _intersection_problem(
         dim = cones[0].dim
         rows.append(tuple(sum(r[:dim]) for r in first) + (0,) * (n - len(first)))
         rhs += (1,)
-    return LPProblem(tuple(rows), rhs, n), offsets
+    return tuple(rows), rhs, n, offsets
 
 
 def _rays_only(cones: Sequence[Cone]) -> bool:
@@ -490,11 +485,11 @@ def cones_intersect(
         # One unit per ray is a point of the LP: the rays are all equal.  Its
         # trace-one common point, g_1 / tr g_1, is unique here.
         return IntersectionWitness(cones, (1,) * len(cones), range(len(cones)))
-    problem, offsets = _intersection_problem(cones, strict)
+    rows, rhs, n, offsets = _intersection_problem(cones, strict)
     if strict:
-        point = strict_positive_solution(problem.rows, problem.rhs, problem.n_vars)
+        point = strict_positive_solution(rows, rhs, n)
     else:
-        point = lp_feasible(problem)[1]
+        point = lp_feasible(LPProblem(rows, rhs, n))[1]
     if point is None:
         return None
     return IntersectionWitness(cones, point, offsets)

@@ -269,7 +269,7 @@ def _side_system(tree: Tree, m: SeparableMeasurement, side: str):
     """Equality rows for one party: ledger constraints plus the identity
     condition on that party's root, all times the party's common
     denominator D, so every row is an integer combination of its table's
-    coordinates.  Returns (rows, rhs, variable refs)."""
+    coordinates.  Returns (rows, rhs, variable refs), rows and rhs as tuples."""
     d = m.side_dim(side)
     table = m.table(side)
     root, second = tree.root, tree.root.children[0]
@@ -279,7 +279,7 @@ def _side_system(tree: Tree, m: SeparableMeasurement, side: str):
     index = {r: i for i, r in enumerate(refs)}
     vec = {r: table.coords[r.j - 1] for r in refs}
     vl = d * d
-    rows: list[list[int]] = []
+    rows: list[tuple[int, ...]] = []
     rhs: list[int] = []
     for c in constraints:
         for comp in range(vl):
@@ -288,16 +288,16 @@ def _side_system(tree: Tree, m: SeparableMeasurement, side: str):
                 row[index[r]] += vec[r][comp]
             for r in c.rhs:
                 row[index[r]] -= vec[r][comp]
-            rows.append(row)
+            rows.append(tuple(row))
             rhs.append(0)
     ident = _identity_coords(d)
     for comp in range(vl):
         row = [0] * len(refs)
         for r in root_label:
             row[index[r]] += vec[r][comp]
-        rows.append(row)
+        rows.append(tuple(row))
         rhs.append(table.denominator * ident[comp])
-    return rows, rhs, refs
+    return tuple(rows), tuple(rhs), refs
 
 
 def _prune_zero_leaves(
@@ -388,8 +388,7 @@ def _solve_tree(tree: Tree, m: SeparableMeasurement) -> tuple[Optional[LOCCProto
             if strict:
                 point = strict_positive_solution(rows, rhs, len(refs))
             else:
-                problem = LPProblem(tuple(map(tuple, rows)), tuple(rhs), len(refs))
-                point = lp_feasible(problem)[1]
+                point = lp_feasible(LPProblem(rows, rhs, len(refs)))[1]
             if point is None:
                 break
             solutions.append(dict(zip(refs, point)))

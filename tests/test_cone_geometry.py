@@ -143,13 +143,40 @@ def _record_pivots(monkeypatch, tableau_class, log):
     monkeypatch.setattr(tableau_class, "_pivot", recording)
 
 
-def _rational_rows(p, objective):
-    """`_kernel_problem` without the scaling to integers: the LP minus its
-    rows 0 = 0, entries as they were given."""
-    keep = [i for i, row in enumerate(p.rows) if p.rhs[i] or any(row)]
-    return LPProblem(
-        tuple(p.rows[i] for i in keep), tuple(p.rhs[i] for i in keep), p.n_vars, objective
+def _one_row_certificate(problem):
+    """Whether some row's nonzero rhs has a sign none of its entries has."""
+    return any(
+        r and all(v * r <= 0 for v in row) for row, r in zip(problem.rows, problem.rhs)
     )
+
+
+def _nonempty_rows(problem):
+    return [i for i, row in enumerate(problem.rows) if problem.rhs[i] or any(row)]
+
+
+def _rational_rows(p):
+    """`_kernel_rows` without the scaling to integers: None for an LP with a
+    one-row certificate, else its rows that do not read 0 = 0 and their
+    rhs, entries as they were given."""
+    if _one_row_certificate(p):
+        return None
+    keep = _nonempty_rows(p)
+    return [p.rows[i] for i in keep], [p.rhs[i] for i in keep]
+
+
+def _as_kernel(solve):
+    """`solve`, which takes an LPProblem, called the way `_solve` is: on the
+    rows and rhs `_kernel_rows` gives, the width and the objective."""
+
+    def kernel(rows, rhs, n_vars, objective=None):
+        return solve(LPProblem(tuple(map(tuple, rows)), tuple(rhs), n_vars, objective))
+
+    return kernel
+
+
+def _on_problem(kernel):
+    """`kernel`, called the way `_solve` is, taking an LPProblem."""
+    return lambda p: kernel(p.rows, p.rhs, p.n_vars, p.objective)
 
 
 def test_lp_kernel_matches_fraction_oracle(monkeypatch):
@@ -167,8 +194,8 @@ def test_lp_kernel_matches_fraction_oracle(monkeypatch):
         problem, traits = _random_lp(rng)
         got = _lp_answers(problem)
         with monkeypatch.context() as patch:
-            patch.setattr(cone_geometry, "_kernel_problem", _rational_rows)
-            patch.setattr(cone_geometry, "_solve", oracle_lp._solve)
+            patch.setattr(cone_geometry, "_kernel_rows", _rational_rows)
+            patch.setattr(cone_geometry, "_solve", _as_kernel(oracle_lp._solve))
             want = _lp_answers(problem)
         assert got == want, problem
         assert pivots == oracle_pivots, problem
@@ -227,10 +254,6 @@ def _with_empty_rows(problem, rng):
     return LPProblem(tuple(rows), tuple(rhs), problem.n_vars, problem.objective)
 
 
-def _nonempty_rows(problem):
-    return [i for i, row in enumerate(problem.rows) if problem.rhs[i] or any(row)]
-
-
 def _logged(solve, runs):
     """`solve`, recording each LP it is given and the pivots made on it."""
 
@@ -269,25 +292,20 @@ def _oracle_answers(p, runs, monkeypatch):
     return plain, maximum, strict
 
 
-def _one_row_certificate(problem):
-    """Whether some row's nonzero rhs has a sign none of its entries has."""
-    return any(
-        r and all(v * r <= 0 for v in row) for row, r in zip(problem.rows, problem.rhs)
-    )
-
-
 def test_lp_rows_reading_zero_equals_zero_change_no_pivot(monkeypatch):
     # Every LP entry point drops rows 0 = 0 before the kernel runs, and
     # scales the rest to integers by one factor; the kernel then makes the
     # oracle's pivots on the full LP: the same entering columns, with each
     # row and each artificial column mapped back to the row it came from.
-    # So every answer is the oracle's.  A feasibility LP that one row proves
-    # infeasible makes no kernel run; the oracle finds it infeasible too.
+    # So every answer is the oracle's.  An LP that one row proves
+    # infeasible makes no kernel run, at `lp_feasible` as at `lp_maximize`;
+    # the oracle finds it infeasible too.
     rng = random.Random(808)
     runs, oracle_runs = [], []
     _record_run_pivots(monkeypatch, cone_geometry._Tableau, runs)
     _record_run_pivots(monkeypatch, oracle_lp._Tableau, oracle_runs)
-    monkeypatch.setattr(cone_geometry, "_solve", _logged(cone_geometry._solve, runs))
+    kernel = _logged(_on_problem(cone_geometry._solve), runs)
+    monkeypatch.setattr(cone_geometry, "_solve", _as_kernel(kernel))
     problems = [_with_empty_rows(_random_lp(rng)[0], rng) for _ in range(400)]
     # Only empty rows: the kernel runs on an LP with no rows at all.
     empty = LPProblem(frac_rows([[0, 0]] * 2), (Fraction(0),) * 2, 2, frac_rows([[1, -1]])[0])
@@ -300,14 +318,10 @@ def test_lp_rows_reading_zero_equals_zero_change_no_pivot(monkeypatch):
         assert len(oracle_runs) == 3
         (plain, _), _, (strict, _) = oracle_runs
         if _one_row_certificate(plain):
-            assert want[0] == (False, None), problem
+            assert want[0] == (False, None) and want[1][0] == "infeasible", problem
         if _one_row_certificate(strict):
             assert want[2] is None, problem
-        solved = [
-            run
-            for run in oracle_runs
-            if run[0].objective is not None or not _one_row_certificate(run[0])
-        ]
+        solved = [run for run in oracle_runs if not _one_row_certificate(run[0])]
         seen["decided"] += 3 - len(solved)
         assert len(runs) == len(solved)
         for (small, pivots), (full, want) in zip(runs, solved):
@@ -326,7 +340,9 @@ def test_lp_rows_reading_zero_equals_zero_change_no_pivot(monkeypatch):
         # hand the oracle the same rows, so its pivots match unmapped.
         oracle_runs.clear()
         with monkeypatch.context() as patch:
-            patch.setattr(cone_geometry, "_solve", _logged(oracle_lp._solve, oracle_runs))
+            patch.setattr(
+                cone_geometry, "_solve", _as_kernel(_logged(oracle_lp._solve, oracle_runs))
+            )
             assert _lp_answers(problem) == got
         assert [pivots for _, pivots in oracle_runs] == [pivots for _, pivots in runs]
         runs.clear()
@@ -335,14 +351,14 @@ def test_lp_rows_reading_zero_equals_zero_change_no_pivot(monkeypatch):
         seen["strict_found"] += got[2] is not None
     for kind in ("infeasible", "unbounded", "optimal", "strict_found"):
         assert seen[kind] >= 10, (kind, seen)
-    assert seen["pivots"] > 1000 and seen["dropped"] > 3 * len(problems), seen
+    assert seen["pivots"] > 900 and seen["dropped"] > 3 * len(problems), seen
     assert seen["decided"] >= 10, seen
 
 
 def test_one_positive_factor_changes_no_returned_point():
     # The package's LPs reach the kernel as integer rows: the rational LP
     # times one positive integer (a measurement's common denominator, a
-    # product of two, or the lcm `_kernel_problem` takes).  Multiplying
+    # product of two, or the lcm `_kernel_rows` takes).  Multiplying
     # every row and the rhs by one positive integer changes no returned
     # point, status or value, on integer rows as on rational ones.
     rng = random.Random(1606)
@@ -386,9 +402,9 @@ def test_lp_keeps_a_zero_row_with_nonzero_rhs(b):
 
 def test_one_row_certificate_builds_no_tableau(monkeypatch):
     # A row whose nonzero rhs has a sign none of its entries has (a row
-    # 0 = r included) has no solution x >= 0.  `lp_feasible`, and so the
-    # strict LP, whose row [a | -r] keeps that property, answers such an LP
-    # without building a tableau, as the oracle answers it.
+    # 0 = r included) has no solution x >= 0.  `lp_feasible`, `lp_maximize`
+    # and the strict LP, whose row [a | -r] keeps that property, answer such
+    # an LP without building a tableau, as the oracle answers it.
     rng = random.Random(1995)
     built = []
     init = cone_geometry._Tableau.__init__
@@ -413,11 +429,12 @@ def test_one_row_certificate_builds_no_tableau(monkeypatch):
         problem = LPProblem(rows, rhs, problem.n_vars, problem.objective)
         got = lp_feasible(LPProblem(rows, rhs, problem.n_vars))
         got_strict = strict_positive_solution(rows, rhs, problem.n_vars)
+        got_maximum = lp_maximize(problem)
         assert built == [], problem
         plain, maximum, strict = _oracle_answers(problem, [], monkeypatch)
         assert got == plain == (False, None), problem
         assert got_strict is strict is None, problem
-        assert maximum[0] == "infeasible" and lp_maximize(problem) == maximum
+        assert got_maximum == maximum == ("infeasible", None, None), problem
         built.clear()
         seen["negative_rhs" if sign < 0 else "positive_rhs"] += 1
         seen["zero_row"] += not any(planted)
@@ -447,9 +464,11 @@ def _engine_lps():
 def test_lp_kernel_matches_fraction_oracle_on_engine_lps(monkeypatch):
     # The engine's LPs are larger and sparser than the random ones above:
     # many pivots leave a row untouched, and a later pivot then rewrites it
-    # from its own denominator or makes it the pivot row.  On each, the
-    # kernel makes the oracle's pivots and returns its status and point,
-    # and `lp_feasible` gives the oracle's answer.
+    # from its own denominator or makes it the pivot row.  On each that
+    # reaches the kernel, it makes the oracle's pivots and returns its
+    # status and point; one that a row proves infeasible never reaches it,
+    # and the oracle finds it infeasible.  `lp_feasible` gives the oracle's
+    # answer on every one.
     problems = _engine_lps()
     assert len(problems) == 176
     pivots, oracle_pivots = [], []
@@ -467,21 +486,27 @@ def test_lp_kernel_matches_fraction_oracle_on_engine_lps(monkeypatch):
     _record_pivots(monkeypatch, oracle_lp._Tableau, oracle_pivots)
     most_rows = 0
     for problem in problems:
-        kept = _rational_rows(problem, None)
-        got = cone_geometry._solve(cone_geometry._kernel_problem(problem, None))
-        want = oracle_lp._solve(kept)
-        assert got == want, problem
-        assert pivots == oracle_pivots, problem
+        entry = cone_geometry._kernel_rows(problem)
+        kept = _rational_rows(problem)
+        if kept is None:
+            assert entry is None, problem
+            want = oracle_lp._solve(problem)
+            seen["one_row"] += 1
+        else:
+            got = cone_geometry._solve(*entry, problem.n_vars)
+            want = _as_kernel(oracle_lp._solve)(*kept, problem.n_vars)
+            assert got == want, problem
+            assert pivots == oracle_pivots, problem
+            seen["kernel", want[0]] += 1
+            most_rows = max(most_rows, len(kept[0]))
         assert lp_feasible(problem) == (
             (False, None) if want[0] == "infeasible" else (True, want[1])
         )
         pivots.clear()
         oracle_pivots.clear()
         seen[want[0]] += 1
-        most_rows = max(most_rows, len(kept.rows))
-        seen["one_row"] += cone_geometry._one_row_infeasible(problem)
     assert most_rows == 19
-    for kind in ("optimal", "infeasible", "one_row"):
+    for kind in ("optimal", "infeasible", "one_row", ("kernel", "infeasible")):
         assert seen[kind] >= 20, (kind, seen)
     assert seen["untouched"] >= 1000 and seen["caught_up"] >= 200, seen
 

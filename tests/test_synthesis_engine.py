@@ -452,6 +452,127 @@ def test_searches_in_two_threads_count_only_their_own_lps():
     assert counts == {name: [count] * 20 for name, count in solo.items()}
 
 
+def _criterion_6_measurements():
+    return [random_small_measurement(random.Random(20_000 + i)) for i in range(500)]
+
+
+def _lp_counted_runs(runs, monkeypatch):
+    """`synthesize(m, cfg)` for each (m, cfg) of `runs`, yielding its outcome,
+    the number of `lp_feasible` calls it made through either module's
+    binding, and the number of `LPProblem`s it built."""
+    counts = Counter()
+    feasible = cone_geometry.lp_feasible
+    post_init = cone_geometry.LPProblem.__post_init__
+
+    def counting_feasible(problem):
+        counts["calls"] += 1
+        return feasible(problem)
+
+    def counting_post_init(problem):
+        counts["builds"] += 1
+        post_init(problem)
+
+    monkeypatch.setattr(cone_geometry, "lp_feasible", counting_feasible)
+    monkeypatch.setattr(synthesis_engine, "lp_feasible", counting_feasible)
+    monkeypatch.setattr(cone_geometry.LPProblem, "__post_init__", counting_post_init)
+    for m, cfg in runs:
+        counts.clear()
+        out = synthesize(m, cfg)
+        yield out, counts["calls"], counts["builds"]
+
+
+def test_every_lp_is_built_once(monkeypatch):
+    # Each LP is one `LPProblem`, built by its caller and handed to
+    # `lp_feasible` as it is: the strict LP's encoding and the kernel's
+    # entry pass build none of their own.
+    runs = [
+        (BUILTIN[name](), SearchConfig(max_rounds=10, exhaustive=True)) for name in sorted(BUILTIN)
+    ]
+    runs += [(m, SearchConfig(max_rounds=4)) for m in _criterion_6_measurements()]
+    total = 0
+    for _, calls, builds in _lp_counted_runs(runs, monkeypatch):
+        assert builds == calls
+        total += calls
+    assert total > 1000, total
+
+
+@pytest.mark.parametrize("rounds", [2, 4, 10])
+def test_every_counted_lp_goes_through_lp_feasible(rounds, monkeypatch):
+    # `lp_calls` counts the LPs the search solved after validation; each
+    # reaches the kernel through a module binding of `lp_feasible`, and the
+    # one more call is the weight LP.  A tracer that wraps those bindings
+    # (perfbench/spans.py) therefore sees every LP the counters count.
+    cfg = SearchConfig(max_rounds=rounds, exhaustive=True)
+    runs = [(BUILTIN[name](), cfg) for name in sorted(BUILTIN)]
+    if rounds == 4:
+        runs += [(m, cfg) for m in _criterion_6_measurements()]
+    counted = 0
+    for out, calls, _ in _lp_counted_runs(runs, monkeypatch):
+        assert calls == out.stats.lp_calls + 1
+        counted += out.stats.lp_calls
+    assert counted >= 100, counted
+
+
+# Rational rotations of dimension 2 and 3.
+ROTATIONS = {
+    2: ((Fraction(3, 5), Fraction(-4, 5)), (Fraction(4, 5), Fraction(3, 5))),
+    3: tuple(
+        tuple(Fraction(v, 3) for v in row) for row in ((1, 2, 2), (2, 1, -2), (2, -2, 1))
+    ),
+}
+
+
+def _rotated(op):
+    """R op R^T for the rotation R of op's dimension."""
+    r, d = ROTATIONS[op.dim], op.dim
+    zero = HermitianOp.zero(1).entries[0][0]
+    return HermitianOp.from_rows(
+        [
+            [
+                sum(
+                    (
+                        op.entries[k][l].scaled(r[i][k] * r[j][l])
+                        for k in range(d)
+                        for l in range(d)
+                    ),
+                    zero,
+                )
+                for j in range(d)
+            ]
+            for i in range(d)
+        ]
+    )
+
+
+def _verdict(out):
+    return "protocol" if isinstance(out, LOCCProtocol) else out.verdict
+
+
+@pytest.mark.parametrize("name", sorted(BUILTIN))
+def test_rotating_and_swapping_the_parties_keeps_the_verdict(name):
+    # Conjugating every operator of a side by one rotation is a linear
+    # bijection of that side's Hermitian operators that keeps positivity,
+    # so every cone query has the same answer on other LP matrices: the
+    # verdict and every counter stay.  Swapping the parties keeps the
+    # verdict, with or without the rotation.
+    m = BUILTIN[name]()
+    cfg = SearchConfig(max_rounds=10, exhaustive=True)
+    rotated = SeparableMeasurement(
+        m.dA, m.dB, tuple((_rotated(a), _rotated(b)) for a, b in m.outcomes)
+    )
+    # Only single_identity, whose operators are multiples of the identity,
+    # is its own rotation.
+    assert (rotated.outcomes == m.outcomes) == (name == "single_identity")
+    base, turned = synthesize(m, cfg), synthesize(rotated, cfg)
+    assert _verdict(turned) == _verdict(base)
+    assert repr(turned.stats) == repr(base.stats)
+    for variant in (m, rotated):
+        swapped = SeparableMeasurement(
+            variant.dB, variant.dA, tuple((b, a) for a, b in variant.outcomes)
+        )
+        assert _verdict(synthesize(swapped, cfg)) == _verdict(base)
+
+
 class _NoMemo:
     """Stands in for IntersectionMemo: every query solves afresh, and each
     one that is not made only of rays counts one LP, as the memo counts its
