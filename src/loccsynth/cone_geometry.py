@@ -24,12 +24,12 @@ The synthesis engine's cones come from `Cone.of_checked`, over outcome
 operators and rays its measurement has already checked and computed, so a
 cone query proves nothing PSD and vectorizes nothing again.
 
-Every LP the package builds is integer: cone rows over the rays,
-validation and tree rows over a measurement's integer coordinates
-(`SeparableMeasurement.table`).  Each is the rational LP times one
+Every LP the package builds has one unknown per operator, whose column
+is that operator's integer coordinates (rays in cone LPs, a measurement's
+`SeparableMeasurement.table` in validation and tree LPs); `_rows` turns
+the columns and a target into rows.  Each LP is the rational LP times one
 positive factor, which changes no pivot and no returned point.  Each is
-built as an `LPProblem` once, and reaches the kernel through
-`lp_feasible`.
+one `LPProblem`, and reaches the kernel through `lp_feasible`.
 
 Whether cones intersect depends only on the cones as sets of operators, so
 `IntersectionMemo` answers a yes/no query once per key: the set of cones,
@@ -416,40 +416,48 @@ class IntersectionWitness:
         )
 
 
+def _rows(cols, target) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
+    """The rows and rhs of sum_k x_k * cols[k] = target: row i holds entry
+    i of every column.  A row that reads 0 = 0 is left out, as
+    `_kernel_rows` would skip it; the others keep their order."""
+    rows, rhs = [], []
+    for row, t in zip(zip(*cols), target):
+        if t or any(row):
+            rows.append(row)
+            rhs.append(t)
+    return tuple(rows), tuple(rhs)
+
+
 def _intersection_problem(
     cones: Sequence[Cone], strict: bool
 ) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...], int, list[int]]:
     """Encode 'all cones share a common point' as an integer equality LP:
     its rows, rhs and number of unknowns, and each cone's first column.
 
-    Unknowns are the coefficients x of every cone's integer rays.  The
-    rows say cone 0's combination minus cone i's combination is zero, one
-    per coordinate; a coordinate none of the two cones uses gives no row.
-    Call these rows A.  Plainly, one more row pins the trace of cone 0's
-    combination to 1, which is exactly nontriviality: a nonzero
-    nonnegative combination of nonzero PSD operators has positive trace.
-    Strictly, the LP is A x = 0 alone, for `strict_positive_solution`.
+    Unknowns are the coefficients x of every cone's integer rays.  One
+    block of coordinates per cone i > 0 says cone 0's combination minus
+    cone i's is zero: a ray of cone 0 is its column in every block, a ray
+    of cone i is -ray in block i and 0 elsewhere (`_rows`).  Call these
+    rows A.  Plainly, one more row pins the trace of cone 0's combination
+    to 1, which is exactly nontriviality: a nonzero nonnegative combination
+    of nonzero PSD operators has positive trace.  Strictly, the LP is
+    A x = 0 alone, for `strict_positive_solution`.
     """
-    offsets = []
-    n = 0
-    for cone in cones:
-        offsets.append(n)
-        n += len(cone.rays)
     first = cones[0].rays
-    rows: list[tuple[int, ...]] = []
-    for ci in range(1, len(cones)):
-        rays = cones[ci].rays
-        gap = (0,) * (offsets[ci] - len(first))
-        tail = (0,) * (n - offsets[ci] - len(rays))
-        for left, right in zip(zip(*first), zip(*rays)):
-            if any(left) or any(right):
-                rows.append((*left, *gap, *(-v for v in right), *tail))
-    rhs = (0,) * len(rows)
+    blocks = len(cones) - 1
+    zero = (0,) * len(first[0])
+    cols = [ray * blocks for ray in first]
+    offsets = [0]
+    for i, cone in enumerate(cones[1:]):
+        offsets.append(len(cols))
+        for ray in cone.rays:
+            cols.append(zero * i + tuple(-v for v in ray) + zero * (blocks - 1 - i))
+    rows, rhs = _rows(cols, zero * blocks)
     if not strict:
         dim = cones[0].dim
-        rows.append(tuple(sum(r[:dim]) for r in first) + (0,) * (n - len(first)))
+        rows += (tuple(sum(r[:dim]) for r in first) + (0,) * (len(cols) - len(first)),)
         rhs += (1,)
-    return tuple(rows), rhs, n, offsets
+    return rows, rhs, len(cols), offsets
 
 
 def _rays_only(cones: Sequence[Cone]) -> bool:

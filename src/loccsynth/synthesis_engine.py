@@ -25,6 +25,7 @@ from .cone_geometry import (
     Cone,
     IntersectionMemo,
     LPProblem,
+    _rows,
     lp_feasible,
     mutually_intersecting_families,
     ray_key,
@@ -235,28 +236,19 @@ def _identity_coords(dim: int) -> tuple[int, ...]:
 def validate_measurement(m: SeparableMeasurement) -> list[Fraction]:
     """Strictly positive weights r with sum r_j A_j (x) B_j = identity.
 
-    One equation per coordinate of the tensor-product basis:
-    sum_j r_j vec(A_j) (x) vec(B_j) = vec(I_A) (x) vec(I_B), times
-    D_A * D_B.  So the rows are the outer products of the two sides'
-    integer coordinates (`SeparableMeasurement.table`), in that basis's
-    order; a coordinate with a zero row and a zero target gives no row.
+    One unknown per outcome, whose column is vec(A_j) (x) vec(B_j) in the
+    tensor-product basis, vec being `vectorize`; the target is
+    vec(I_A) (x) vec(I_B).  Both are taken times D_A * D_B, so the column
+    is the outer product of the two sides' integer coordinates
+    (`SeparableMeasurement.table`), and `_rows` turns them into rows.
     Solved exactly by `strict_positive_solution`, one phase-1 LP; when it
     finds none, NotASeparableMeasurement is raised.
     """
     ta, tb = m.table("A"), m.table("B")
+    cols = [tuple(x * y for x in a for y in b) for a, b in zip(ta.coords, tb.coords)]
     scale = ta.denominator * tb.denominator
-    cols_b = list(zip(zip(*tb.coords), _identity_coords(m.dB)))
-    rows: list[tuple[int, ...]] = []
-    rhs: list[int] = []
-    for ca, ia in zip(zip(*ta.coords), _identity_coords(m.dA)):
-        if not ia and not any(ca):
-            continue
-        for cb, ib in cols_b:
-            row = tuple(x * y for x, y in zip(ca, cb))
-            target = scale if ia and ib else 0
-            if target or any(row):
-                rows.append(row)
-                rhs.append(target)
+    ia, ib = _identity_coords(m.dA), _identity_coords(m.dB)
+    rows, rhs = _rows(cols, [scale * x * y for x in ia for y in ib])
     point = strict_positive_solution(rows, rhs, m.n_outcomes)
     if point is None:
         raise NotASeparableMeasurement(
@@ -266,38 +258,31 @@ def validate_measurement(m: SeparableMeasurement) -> list[Fraction]:
 
 
 def _side_system(tree: Tree, m: SeparableMeasurement, side: str):
-    """Equality rows for one party: ledger constraints plus the identity
-    condition on that party's root, all times the party's common
-    denominator D, so every row is an integer combination of its table's
-    coordinates.  Returns (rows, rhs, variable refs), rows and rhs as tuples."""
+    """One party's ledger constraints and root identity condition, times its
+    common denominator D, as (rows, rhs, variable refs) (`_rows`).  Ref r's
+    column has one block per constraint, r's integer coordinates times +1
+    (r on the lhs only), -1 (on the rhs only) or 0, then the root block:
+    r's coordinates if r is in the root label, else 0.  The target is 0,
+    then D * vec(I) on the root block."""
     d = m.side_dim(side)
     table = m.table(side)
     root, second = tree.root, tree.root.children[0]
     root_label = root.terms if root.side == side else second.terms
     constraints = [c for c in tree.ledger if c.side == side]
     refs = sorted(set().union(root_label, *[c.refs() for c in constraints]))
-    index = {r: i for i, r in enumerate(refs)}
-    vec = {r: table.coords[r.j - 1] for r in refs}
-    vl = d * d
-    rows: list[tuple[int, ...]] = []
-    rhs: list[int] = []
-    for c in constraints:
-        for comp in range(vl):
-            row = [0] * len(refs)
-            for r in c.lhs:
-                row[index[r]] += vec[r][comp]
-            for r in c.rhs:
-                row[index[r]] -= vec[r][comp]
-            rows.append(tuple(row))
-            rhs.append(0)
-    ident = _identity_coords(d)
-    for comp in range(vl):
-        row = [0] * len(refs)
-        for r in root_label:
-            row[index[r]] += vec[r][comp]
-        rows.append(tuple(row))
-        rhs.append(table.denominator * ident[comp])
-    return tuple(rows), tuple(rhs), refs
+    zero = (0,) * (d * d)
+    cols = []
+    for r in refs:
+        v = table.coords[r.j - 1]
+        col: list[int] = []
+        for c in constraints:
+            sign = (r in c.lhs) - (r in c.rhs)
+            col.extend(v if sign > 0 else (-x for x in v) if sign else zero)
+        col.extend(v if r in root_label else zero)
+        cols.append(col)
+    target = zero * len(constraints) + tuple(table.denominator * x for x in _identity_coords(d))
+    rows, rhs = _rows(cols, target)
+    return rows, rhs, refs
 
 
 def _prune_zero_leaves(
@@ -378,7 +363,10 @@ def solve_tree(tree: Tree, m: SeparableMeasurement) -> Optional[LOCCProtocol]:
 
 def _solve_tree(tree: Tree, m: SeparableMeasurement) -> tuple[Optional[LOCCProtocol], int]:
     """`solve_tree`'s protocol, or None, and the number of LPs it solved:
-    one per party and attempt, up to the first party without a solution."""
+    one per party and attempt, up to the first party without a solution.
+    A tree with no leaf for some outcome solves none."""
+    if covered_outcomes(tree) != frozenset(range(1, m.n_outcomes + 1)):
+        return None, 0
     systems = [_side_system(tree, m, side) for side in ("A", "B")]
     lps = 0
     for strict in (True, False):
@@ -401,8 +389,6 @@ def _solve_tree(tree: Tree, m: SeparableMeasurement) -> tuple[Optional[LOCCProto
         return _verified_protocol(tree, m, q, p), lps
     pruned = _prune_zero_leaves(tree, q, p)
     if pruned is None:
-        return None, lps
-    if {r.j for r in leaf_refs(pruned)} != set(range(1, m.n_outcomes + 1)):
         return None, lps
     try:
         return _verified_protocol(pruned, m, *_complete_maps(pruned, q, p)), lps
@@ -484,10 +470,11 @@ def _same_value(x: tuple[list[int], int], y: tuple[list[int], int]) -> bool:
 def verify_protocol_exact(protocol: LOCCProtocol) -> None:
     """Exact re-check of every structural protocol property.
 
-    Raises ProtocolVerificationError if a reference the tree uses has no
-    coefficient or a negative one, a leaf weight is not strictly positive,
-    the sum rule fails at any node (a sibling branch disagrees), a ledger
-    constraint fails, a root is not the identity, or the leaves do not
+    Raises ProtocolVerificationError if an outcome has no leaf, a reference
+    the tree uses has no coefficient or a negative one, a leaf weight is not
+    strictly positive, the sum rule fails at any node (a sibling branch
+    disagrees), a ledger constraint fails, a root is not the identity,
+    `weights` is not q * p on exactly the leaves, or the leaves do not
     resolve the identity.
 
     Every operator sum is compared as its exact coordinate vector, an
@@ -500,8 +487,12 @@ def verify_protocol_exact(protocol: LOCCProtocol) -> None:
     m = protocol.measurement
     tree = protocol.tree
     validate_tree(tree)
+    leaves = leaf_refs(tree)
+    missing = set(range(1, m.n_outcomes + 1)).difference(r.j for r in leaves)
+    if missing:
+        raise ProtocolVerificationError(f"outcome {min(missing)} has no leaf")
     coeffs = {"A": protocol.q, "B": protocol.p}
-    for r in leaf_refs(tree):
+    for r in leaves:
         for side, table in coeffs.items():
             if r not in table:
                 raise ProtocolVerificationError(f"{r} has no {side} coefficient")
@@ -531,11 +522,12 @@ def verify_protocol_exact(protocol: LOCCProtocol) -> None:
         coords, den = value(node.side, node.terms)
         if coords != [den * t for t in _identity_coords(m.side_dim(node.side))]:
             raise ProtocolVerificationError(f"{node.side} root is not the identity")
-    # sum_r q_r p_r vec(A_j) (x) vec(B_j), times the product of the weights'
+    weights = [protocol.q[r] * protocol.p[r] for r in leaves]
+    if protocol.weights != dict(zip(leaves, weights)):
+        raise ProtocolVerificationError("the weights are not q * p on the leaves")
+    # sum_r w_r vec(A_j) (x) vec(B_j), times the product of the weights'
     # common denominator and D_A * D_B, against the identity's coordinates.
     ta, tb = m.table("A"), m.table("B")
-    leaves = leaf_refs(tree)
-    weights = [protocol.q[r] * protocol.p[r] for r in leaves]
     scale = math.lcm(*(w.denominator for w in weights))
     total = [0] * (m.dA * m.dB) ** 2
     for r, w in zip(leaves, weights):
@@ -605,14 +597,12 @@ class _Search:
         )
 
     def first_protocol(self, trees: list[Tree]) -> Optional[LOCCProtocol]:
-        """The first protocol solved from one of `trees` that covers every
-        outcome, or None."""
+        """The first protocol solved from one of `trees`, or None."""
         for t in trees:
-            if covered_outcomes(t) == frozenset(range(1, self.m.n_outcomes + 1)):
-                protocol, lps = _solve_tree(t, self.m)
-                self.tree_lps += lps
-                if protocol is not None:
-                    return protocol
+            protocol, lps = _solve_tree(t, self.m)
+            self.tree_lps += lps
+            if protocol is not None:
+                return protocol
         return None
 
     def round(self) -> tuple[Optional[LOCCProtocol], bool]:

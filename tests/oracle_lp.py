@@ -9,14 +9,24 @@ LPs too.  Like the library kernel, it keeps no count of its calls.
 `strict_positive_reference` is the strict-positivity encoding
 `cone_geometry.strict_positive_solution` replaced: the max-min-slack LP,
 solved by the library's `lp_maximize`.
+
+`validate_reference`, `side_system_reference` and
+`intersection_problem_reference` write the package's three LP encodings
+row by row, one row per coordinate, from `vectorize` and `Cone.rays` in
+plain loops.  They stand in for `validate_measurement`, `_side_system`
+and `_intersection_problem`, which state each LP as one column per
+unknown; both must hand the kernel the same rows (`_kernel_rows`).
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Optional
 
-from loccsynth.cone_geometry import LPProblem, lp_maximize
+from loccsynth.cone_geometry import LPProblem, lp_maximize, strict_positive_solution
+from loccsynth.exact_algebra import HermitianOp, vectorize
+from loccsynth.synthesis_engine import NotASeparableMeasurement
 
 
 class _Tableau:
@@ -147,3 +157,87 @@ def strict_positive_reference(rows, rhs, n: int) -> Optional[list[Fraction]]:
     if status != "optimal" or point is None or value is None or value <= 0:
         return None
     return point[:n]
+
+
+def _integer_coords(m, side: str):
+    """The side's common denominator D, and `vectorize` of each of its
+    operators times D, as integers."""
+    vectors = [vectorize(m.op(side, j)) for j in range(1, m.n_outcomes + 1)]
+    scale = math.lcm(*(v.denominator for vec in vectors for v in vec))
+    return scale, [[int(v * scale) for v in vec] for vec in vectors]
+
+
+def validate_reference(m) -> list[Fraction]:
+    """`validate_measurement` on rows written one coordinate pair at a time:
+    sum_j r_j A_j[ka] B_j[kb] = I_A[ka] I_B[kb], times D_A * D_B."""
+    scale_a, coords_a = _integer_coords(m, "A")
+    scale_b, coords_b = _integer_coords(m, "B")
+    ident_a = vectorize(HermitianOp.identity(m.dA))
+    ident_b = vectorize(HermitianOp.identity(m.dB))
+    rows, rhs = [], []
+    for ka in range(m.dA * m.dA):
+        for kb in range(m.dB * m.dB):
+            rows.append(tuple(a[ka] * b[kb] for a, b in zip(coords_a, coords_b)))
+            rhs.append(int(scale_a * scale_b * ident_a[ka] * ident_b[kb]))
+    point = strict_positive_solution(rows, rhs, m.n_outcomes)
+    if point is None:
+        raise NotASeparableMeasurement("no strictly positive weights")
+    return point
+
+
+def side_system_reference(tree, m, side: str):
+    """`_side_system` row by row: per ledger constraint and coordinate,
+    lhs minus rhs is 0; per coordinate, the root label sums to D * I."""
+    d = m.side_dim(side)
+    scale, coords = _integer_coords(m, side)
+    root = tree.root if tree.root.side == side else tree.root.children[0]
+    constraints = [c for c in tree.ledger if c.side == side]
+    refs = sorted(set().union(root.terms, *[c.refs() for c in constraints]))
+    index = {r: i for i, r in enumerate(refs)}
+    rows, rhs = [], []
+    for c in constraints:
+        for comp in range(d * d):
+            row = [0] * len(refs)
+            for r in c.lhs:
+                row[index[r]] += coords[r.j - 1][comp]
+            for r in c.rhs:
+                row[index[r]] -= coords[r.j - 1][comp]
+            rows.append(tuple(row))
+            rhs.append(0)
+    ident = vectorize(HermitianOp.identity(d))
+    for comp in range(d * d):
+        row = [0] * len(refs)
+        for r in root.terms:
+            row[index[r]] += coords[r.j - 1][comp]
+        rows.append(tuple(row))
+        rhs.append(int(scale * ident[comp]))
+    return tuple(rows), tuple(rhs), refs
+
+
+def intersection_problem_reference(cones, strict: bool):
+    """`_intersection_problem` row by row: per cone i > 0 and coordinate,
+    cone 0's combination minus cone i's is 0; plainly, one more row pins
+    the trace of cone 0's combination (its diagonal coordinates, which
+    `vectorize` puts first) to 1."""
+    offsets, n = [], 0
+    for cone in cones:
+        offsets.append(n)
+        n += len(cone.rays)
+    dim = cones[0].dim
+    rows, rhs = [], []
+    for i in range(1, len(cones)):
+        for comp in range(dim * dim):
+            row = [0] * n
+            for g, ray in enumerate(cones[0].rays):
+                row[g] = ray[comp]
+            for g, ray in enumerate(cones[i].rays):
+                row[offsets[i] + g] = -ray[comp]
+            rows.append(tuple(row))
+            rhs.append(0)
+    if not strict:
+        row = [0] * n
+        for g, ray in enumerate(cones[0].rays):
+            row[g] = sum(ray[:dim])
+        rows.append(tuple(row))
+        rhs.append(1)
+    return tuple(rows), tuple(rhs), n, offsets

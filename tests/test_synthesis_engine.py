@@ -11,7 +11,12 @@ from fractions import Fraction
 import pytest
 
 from helpers import kron, permute_outcomes, proj, random_rescale, random_small_measurement
-from oracle_lp import strict_positive_reference
+from oracle_lp import (
+    intersection_problem_reference,
+    side_system_reference,
+    strict_positive_reference,
+    validate_reference,
+)
 
 from loccsynth import cone_geometry, synthesis_engine
 from loccsynth.cone_geometry import Cone, ray_key
@@ -120,6 +125,23 @@ def test_feasibility_rejects_root_that_cannot_reach_identity():
     assert solve_tree(complete, m) is None
 
 
+def test_a_tree_missing_an_outcome_is_no_protocol():
+    # A complete tree over outcomes 1 and 2 alone: coefficients 1 meet
+    # every equation, yet outcomes 3 and 4 never occur.
+    ident = HermitianOp.identity(2)
+    p0, p1 = proj((1, 0)), proj((0, 1))
+    m = SeparableMeasurement(2, 2, ((p0, ident), (p1, ident), (ident, p0), (ident, p1)))
+    tree = merge_and_extend([merge_and_extend(seed_trees(4)[:2])])
+    assert synthesis_engine._solve_tree(tree, m) == (None, 0)
+    ones = {r: Fraction(1) for r in (LeafRef(1, 1), LeafRef(2, 1))}
+    with pytest.raises(ProtocolVerificationError, match="outcome 3 has no leaf"):
+        verify_protocol_exact(LOCCProtocol(tree, ones, ones, ones, m))
+    out = synthesize(m, SearchConfig(max_rounds=4))
+    assert isinstance(out, LOCCProtocol)
+    assert {r.j for r in out.weights} == {1, 2, 3, 4}
+    verify_protocol_exact(out)
+
+
 def test_example4_protocol_is_verified_once(monkeypatch):
     # example4 closes through zero-leaf pruning.
     verify = synthesis_engine.verify_protocol_exact
@@ -198,6 +220,16 @@ def test_verify_rejects_a_missing_coefficient(example5_protocol):
     q = {r: v for r, v in out.q.items() if r != LeafRef(1, 1)}
     with pytest.raises(ProtocolVerificationError, match="no A coefficient"):
         verify_protocol_exact(replace(out, q=q))
+
+
+def test_verify_rejects_a_weight_other_than_q_times_p(example5_protocol):
+    out = example5_protocol
+    bad = replace(out, weights=_rescaled(out.weights, LeafRef(1, 1), 2))
+    with pytest.raises(ProtocolVerificationError, match="weights are not q"):
+        verify_protocol_exact(bad)
+    weights = {r: v for r, v in out.weights.items() if r != LeafRef(1, 1)}
+    with pytest.raises(ProtocolVerificationError, match="weights are not q"):
+        verify_protocol_exact(replace(out, weights=weights))
 
 
 def test_verify_rejects_a_negative_coefficient_only_reference():
@@ -511,6 +543,47 @@ def test_every_counted_lp_goes_through_lp_feasible(rounds, monkeypatch):
         assert calls == out.stats.lp_calls + 1
         counted += out.stats.lp_calls
     assert counted >= 100, counted
+
+
+def _kernel_inputs(runs, monkeypatch):
+    """`_kernel_rows` of every LP the runs hand `lp_feasible`, in order."""
+    seen = []
+    feasible = cone_geometry.lp_feasible
+
+    def spy(problem):
+        seen.append(cone_geometry._kernel_rows(problem))
+        return feasible(problem)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(cone_geometry, "lp_feasible", spy)
+        patch.setattr(synthesis_engine, "lp_feasible", spy)
+        for m, cfg in runs:
+            synthesize(m, cfg)
+    return seen
+
+
+def test_the_kernel_sees_the_row_by_row_encodings(monkeypatch):
+    # The builders state each LP as columns; the reference writes its rows
+    # one coordinate at a time.  The kernel gets the same rows in the same
+    # order from both, which is all Bland's rule reads.
+    runs = []
+    for name in sorted(BUILTIN):
+        rng = random.Random(f"columns-{name}")
+        m = BUILTIN[name]()
+        cfg = SearchConfig(max_rounds=10, exhaustive=True)
+        runs += [(m, cfg), (random_rescale(permute_outcomes(m, rng), rng), cfg)]
+    for i in range(500):
+        rng = random.Random(20_000 + i)
+        m = random_small_measurement(rng)
+        for variant in (m, permute_outcomes(m, rng), random_rescale(m, rng)):
+            runs.append((variant, SearchConfig(max_rounds=4)))
+    built = _kernel_inputs(runs, monkeypatch)
+    monkeypatch.setattr(synthesis_engine, "validate_measurement", validate_reference)
+    monkeypatch.setattr(synthesis_engine, "_side_system", side_system_reference)
+    monkeypatch.setattr(cone_geometry, "_intersection_problem", intersection_problem_reference)
+    reference = _kernel_inputs(runs, monkeypatch)
+    assert len(built) > 5000, len(built)
+    assert built == reference
 
 
 # Rational rotations of dimension 2 and 3.
