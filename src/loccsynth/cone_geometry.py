@@ -511,16 +511,9 @@ def proportional(x: HermitianOp, y: HermitianOp) -> Optional[Fraction]:
         return None
     vx = vectorize(x)
     vy = vectorize(y)
-    lam: Optional[Fraction] = None
-    for a, b in zip(vx, vy):
-        if b != 0:
-            lam = a / b
-            break
-    if lam is None or lam <= 0:
+    if ray_key(vx) != ray_key(vy):
         return None
-    if all(a == lam * b for a, b in zip(vx, vy)):
-        return lam
-    return None
+    return next(a / b for a, b in zip(vx, vy) if b != 0)
 
 
 class IntersectionMemo:

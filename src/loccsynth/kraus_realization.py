@@ -1,17 +1,19 @@
 """Turn a solved protocol tree into executable per-round Kraus operators.
 
 Node operators are evaluated exactly from the solved coefficients and
-converted to floating point once; eigendecompositions (square roots and
-support inverses) are the only inexact stage.  Each branch's local Kraus
-operator is the positive factor sqrt(Minv . value . Minv) relative to the
-previous same-party accumulation, and every internal measurement is
-completed with I - P on the support of what came before, a branch that
-occurs with zero probability.
+converted to floating point once; one eigendecomposition and one SVD per
+party are the only inexact stage.  Each branch's local Kraus operator is
+the positive polar factor |sqrt(value) . Minv|, relative to the previous
+same-party accumulation M, and every internal measurement is completed
+with I - P on the support of what came before, a branch that occurs with
+zero probability.
 
 The stage works per party on stacks: one eigendecomposition of all of a
-party's node values at once yields every square root together with the
-support inverse and projector of that root, and one more yields the local
-square roots.  Each matrix in a stack keeps its own Hermitian check,
+party's node values yields every square root together with the support
+inverse and projector of that root, and one SVD of the stacked products
+sqrt(value) . Minv yields every local operator (Higham, Functions of
+Matrices, 2008, ch. 8).  The tolerances apply once, to node values
+converted from exact sums; each matrix keeps its own Hermitian check,
 negative-eigenvalue check and scale, so stacking changes nothing but
 rounding.  The stage has one floor and no knobs: eigenvalues below NEG_TOL
 times a matrix's scale are zeroed (`_psd_eigh`), and a support is spanned
@@ -71,13 +73,13 @@ def _psd_eigh(ops: FloatOp) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues and eigenvectors of PSD matrices, noise floored to zero.
 
     An eigenvalue below -NEG_TOL (relative to the matrix's own scale) raises
-    ValueError.  The exact values upstream are PSD, but the float products
-    formed from them are not exactly so: rounding in Minv . value . Minv
-    alone can push an eigenvalue that far below zero when Minv inverts an
-    eigenvalue near the floor.  Eigenvalues within the tolerance band around
-    zero are set exactly to zero: a square root would otherwise amplify
-    rounding noise eps to sqrt(eps), large enough to corrupt later support
-    decisions.  Works on one matrix or a stack of them.
+    ValueError.  `realize` passes node values, which are PSD exactly and
+    Hermitian by construction after their one conversion to floats, so only
+    rounding in that conversion and in `eigh` moves an eigenvalue below
+    zero.  Eigenvalues within the tolerance band around zero are set exactly
+    to zero: a square root would otherwise amplify rounding noise eps to
+    sqrt(eps), large enough to corrupt later support decisions.  Works on
+    one matrix or a stack of them.
     """
     _check_hermitian(ops)
     vals, vecs = np.linalg.eigh(ops)
@@ -172,18 +174,20 @@ def _gram(ops: np.ndarray) -> np.ndarray:
 def realize(protocol: LOCCProtocol) -> KrausProtocol:
     """Per-branch local Kraus operators for a solved protocol tree.
 
-    The accumulated positive operator at a node is sqrt(value); the local
-    Kraus operator applied at that branch is the positive part of
-    sqrt(value) . inverse(previous accumulation on its support).  A
-    completion operator I - P(previous support) is attached to every
-    measurement so each local POVM closes to the identity.
+    The accumulated positive operator at a node is R = sqrt(value); the
+    local Kraus operator applied at that branch is the positive polar factor
+    |R . Minv|, with Minv the inverse of the previous same-party
+    accumulation on its support.  A completion operator I - P(previous
+    support) is attached to every measurement so each local POVM closes to
+    the identity.
 
     Per party, one stacked eigendecomposition of all its node values gives
-    each sqrt(value) as eigenvalues sqrt(lam) on the same eigenvectors, so
-    the support inverse and projector of that square root need no
-    decomposition of their own: the support is spanned by the eigenvalues
-    the NEG_TOL floor leaves nonzero.  One more stacked decomposition per
-    party gives the local square roots.
+    each R as eigenvalues sqrt(lam) on the same eigenvectors, so the support
+    inverse and projector of that square root need no decomposition of
+    their own: the support is spanned by the eigenvalues the NEG_TOL floor
+    leaves nonzero.  One stacked SVD of the products R . Minv gives every
+    local operator, whose square is Minv . value . Minv: that product, which
+    squares Minv's conditioning, is never formed.
     """
     m = protocol.measurement
     coeffs = {"A": protocol.q, "B": protocol.p}
@@ -202,16 +206,16 @@ def realize(protocol: LOCCProtocol) -> KrausProtocol:
         roots = np.sqrt(lam)
         # The support: the eigenvalues the floor left nonzero.
         keep = np.where(roots > 0, 1.0, 0.0)
-        inverse = dict(zip(at, _from_eigen(keep / np.where(keep, roots, 1.0), vecs)))
         projector[side] = dict(zip(at, _from_eigen(keep, vecs)))
-        below = [(i, above[i][side]) for i in at if side in above[i]]
+        # Stack positions of each node with a same-party ancestor, and of it.
+        below = [n for n, i in enumerate(at) if side in above[i]]
         if below:
-            pinv = np.stack([inverse[k] for _, k in below])
-            squared = pinv @ np.stack([value[i] for i, _ in below]) @ pinv
-            # Mathematically Hermitian; resymmetrize the rounding error away.
-            squared = (squared + squared.conj().swapaxes(-1, -2)) / 2.0
-            for (i, _), root in zip(below, psd_sqrt(squared)):
-                local[i] = root
+            prev = [at.index(above[at[n]][side]) for n in below]
+            inverse = _from_eigen(keep[prev] / np.where(keep[prev], roots[prev], 1.0), vecs[prev])
+            # One SVD U S V^H of each R . Minv gives its polar factor V S V^H.
+            _, s, vh = np.linalg.svd(_from_eigen(roots[below], vecs[below]) @ inverse)
+            for n, op in zip(below, _from_eigen(s, vh.conj().swapaxes(-1, -2))):
+                local[at[n]] = op
 
     built: list[KrausNode] = [None] * len(order)
     # Reversed pre-order builds every child before its parent.

@@ -288,13 +288,15 @@ def _side_system(tree: Tree, m: SeparableMeasurement, side: str):
 def _prune_zero_leaves(
     tree: Tree, q: dict[LeafRef, Fraction], p: dict[LeafRef, Fraction]
 ) -> Optional[Tree]:
-    """Drop zero-weight leaves, side by side.
+    """Drop zero-weight leaves, side by side, in one bottom-up pass.
 
     A reference leaves a label only on the party whose coefficient is zero:
     a leaf with q = 0 but p > 0 disappears as an outcome, yet its p summand
     may still carry a B label, surviving there as a coefficient-only
-    reference.  Surviving internal labels are then renormalized to their
-    first branch union so the set-level sum rule holds again.
+    reference.  An internal node goes when no child survives or every
+    reference of its label is dead on its side; a surviving one is labelled
+    with its first sorted branch union so the set-level sum rule holds
+    again.
     """
     dead_side = {
         "A": {r for r, v in q.items() if v == 0},
@@ -306,21 +308,14 @@ def _prune_zero_leaves(
         if node.leaf is not None:
             return None if node.leaf in dead_leaf else node
         kids = [w for w in (walk(c) for c in node.children) if w is not None]
-        terms = frozenset(r for r in node.terms if r not in dead_side[node.side])
-        if not kids or not terms:
+        if not kids or node.terms <= dead_side[node.side]:
             return None
-        return TreeNode(node.side, terms, _sorted_children(kids), None)
-
-    def relabel(node: TreeNode) -> TreeNode:
-        if node.leaf is not None:
-            return node
-        kids = _sorted_children([relabel(c) for c in node.children])
+        kids = _sorted_children(kids)
         return TreeNode(node.side, branch_terms(kids[0]), kids, None)
 
     root = walk(tree.root)
     if root is None or root.leaf is not None or len(root.children) != 1:
         return None
-    root = relabel(root)
     ledger = []
     for c in tree.ledger:
         lhs = frozenset(r for r in c.lhs if r not in dead_side[c.side])

@@ -885,6 +885,39 @@ def test_families_three_way_requires_common_point():
         assert cones_intersect(cones) is not None
 
 
+def _past(a: HermitianOp, b: HermitianOp) -> HermitianOp:
+    """a + (a - b)/4: the segment from b to a, extended a quarter past a."""
+    quarter = Fraction(1, 4)
+    return HermitianOp(
+        a.dim,
+        tuple(
+            tuple(x + (x - y).scaled(quarter) for x, y in zip(ra, rb))
+            for ra, rb in zip(a.entries, b.entries)
+        ),
+    )
+
+
+@pytest.mark.parametrize("exhaustive", [False, True])
+def test_families_over_the_size_cap(exhaustive):
+    # Each cone holds two of r12, r13, r23 in its relative interior, so the
+    # cones strictly intersect pairwise; no point lies in all three.  The
+    # clique of three exceeds size_cap = 2: the greedy fallback finds the
+    # pairs but cannot vouch for completeness, the exhaustive search can.
+    r12 = op_linear_combine([(1, ZERO), (1, ONE)])
+    r13 = op_linear_combine([(1, ZERO), (1, PLUS)])
+    r23 = op_linear_combine([(1, ONE), (1, PLUS)])
+    items = [
+        (i, Cone((_past(a, b), _past(b, a))))
+        for i, (a, b) in enumerate([(r12, r13), (r12, r23), (r13, r23)], start=1)
+    ]
+    assert cones_intersect([c for _, c in items], strict=True) is None
+    fams, complete = mutually_intersecting_families(
+        items, strict=True, size_cap=2, exhaustive=exhaustive
+    )
+    assert fams == [frozenset({1, 2}), frozenset({1, 3}), frozenset({2, 3})]
+    assert complete is exhaustive
+
+
 # --- oracle agreement (also exercised by the acceptance suite) --------------
 
 

@@ -341,14 +341,22 @@ def _threshold_doc(s, delta, rotate=False):
 
 
 # Eigenvalues near the floor that the Kraus realization zeroes or keeps.
-CASE_A = _threshold_doc(Fraction(1, 100), Fraction(1, 10**11))
-CASE_B = _threshold_doc(Fraction(1), Fraction(1, 10**8))
+# The last three are rotated.  A stage that forms Minv . value . Minv
+# rejects C (an eigenvalue of -6.5e-8) and two_sevenths, and fails half's
+# instrument check.
+NEAR_FLOOR = {
+    "A": _threshold_doc(Fraction(1, 100), Fraction(1, 10**11)),
+    "B": _threshold_doc(Fraction(1), Fraction(1, 10**8)),
+    "C": _threshold_doc(Fraction(1, 3), Fraction(101, 10**12), rotate=True),
+    "half": _threshold_doc(Fraction(1, 2), Fraction(101, 10**12), rotate=True),
+    "two_sevenths": _threshold_doc(Fraction(2, 7), Fraction(1, 10**7), rotate=True),
+}
 
 
-@pytest.mark.parametrize("doc", [CASE_A, CASE_B], ids=["A", "B"])
+@pytest.mark.parametrize("doc", list(NEAR_FLOOR.values()), ids=list(NEAR_FLOOR))
 def test_near_floor_supports_verify(doc, tmp_path, capsys):
-    # An eigenvalue near the floor, which realize zeroes (A) or keeps (B):
-    # the instrument verifies against the supports realize chose.
+    # An eigenvalue near the floor, which realize zeroes or keeps: the
+    # instrument verifies against the supports realize chose.
     path, rep = tmp_path / "m.json", tmp_path / "report.json"
     path.write_text(json.dumps(doc))
     assert main([str(path), "--report", str(rep)]) == 0
@@ -358,14 +366,16 @@ def test_near_floor_supports_verify(doc, tmp_path, capsys):
     assert "instrument ok=True" in capsys.readouterr().out
 
 
-def test_kraus_realization_failure_is_an_input_error(tmp_path, capsys):
-    # Rounding in Minv . value . Minv alone gives an eigenvalue of -6.5e-8,
-    # which the float stage rejects; the CLI reports it instead of a traceback.
-    path, rep = tmp_path / "m.json", tmp_path / "report.json"
-    path.write_text(json.dumps(_threshold_doc(Fraction(1, 3), Fraction(101, 10**12), rotate=True)))
-    assert main([str(path), "--report", str(rep)]) == 1
+def test_kraus_realization_failure_is_an_input_error(monkeypatch, tmp_path, capsys):
+    # A ValueError from the float stage is reported instead of a traceback.
+    def failing(protocol):
+        raise ValueError("rounding outside tolerance")
+
+    monkeypatch.setattr(frontend_cli, "realize", failing)
+    rep = tmp_path / "report.json"
+    assert run(DATA / "product_basis_2x2.json", max_rounds=4, report_path=rep) == 1
     out = capsys.readouterr().out
-    assert out.startswith("input error: Kraus realization failed (matrix has eigenvalue")
+    assert out.startswith("input error: Kraus realization failed (")
     assert len(out.splitlines()) == 1
     assert not rep.exists()
 
@@ -385,6 +395,16 @@ def test_inconclusive_exit_code(tmp_path, capsys):
     code = run(DATA / "bennett9.json", max_rounds=10, max_trees=10)
     assert code == 3
     capsys.readouterr()
+
+
+def test_family_size_cap_exit_code(capsys):
+    # Every family of two or more trees exceeds a cap of 1.
+    path = DATA / "product_basis_2x2.json"
+    out = synthesize(BUILTIN["product_basis_2x2"](), SearchConfig(max_rounds=8, family_size_cap=1))
+    assert out.verdict == synthesis_engine.INCONCLUSIVE_CAPPED
+    assert out.stats.capped
+    assert main([str(path), "-L", "8", "--family-cap", "1"]) == 3
+    assert "INCONCLUSIVE_CAPPED" in capsys.readouterr().out
 
 
 def test_main_cli(tmp_path, capsys):
