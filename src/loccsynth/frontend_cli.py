@@ -22,7 +22,8 @@ report whose field order is fixed; the only varying fields live under
 Exit codes: 0 protocol found, 1 input error (bad file, bad measurement, bad
 flag, a protocol whose values no float can hold or whose float Kraus
 realization fails its PSD or Hermitian check, or an output path that
-cannot be written, checked before the search), 2 no LOCC protocol (either
+cannot be written or that names the input file or the other output,
+both checked before the search), 2 no LOCC protocol (either
 certificate), 3 inconclusive because a search cap truncated enumeration, 4
 protocol found but the floating-point instrument check failed (the report
 is still written).
@@ -247,8 +248,9 @@ def run(
     """Parse, synthesize, realize, verify; write artifacts; return exit code.
 
     The measurement's completeness weight LP runs once, inside synthesize.
-    The output paths are checked before the search, so an unwritable one
-    costs no search and prints nothing but its input error."""
+    The output paths are checked before the search: one that cannot be
+    written, or that names the input or the other output once resolved,
+    costs no search, writes nothing and prints only its input error."""
     if out is None:
         out = sys.stdout
     started = time.monotonic()
@@ -263,7 +265,10 @@ def run(
     except (ValueError, OSError) as exc:
         print(f"input error: {exc}", file=out)
         return 1
-    for artifact_path in (dot_path, report_path):
+    # No output may name the input or the other output.  A path is resolved
+    # only once it has opened, so it has no symlink loop.
+    named = {Path(path).resolve(): "the input"}
+    for flag, artifact_path in (("--dot", dot_path), ("--report", report_path)):
         if not artifact_path:
             continue
         try:
@@ -271,6 +276,12 @@ def run(
         except OSError as exc:
             print(f"input error: cannot write {artifact_path}: {exc.strerror}", file=out)
             return 1
+        key = Path(artifact_path).resolve()
+        if key in named:
+            clash = f"{flag} {artifact_path} names the same file as {named[key]}"
+            print(f"input error: {clash}", file=out)
+            return 1
+        named[key] = flag
     try:
         result = synthesize(m, cfg)
     except MeasurementError as exc:

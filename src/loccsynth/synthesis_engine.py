@@ -31,7 +31,7 @@ from .cone_geometry import (
     ray_key,
     strict_positive_solution,
 )
-from .exact_algebra import HermitianOp, RealVector, is_psd, vectorize
+from .exact_algebra import HermitianOp, is_psd, vectorize
 from .protocol_tree import (
     LeafRef,
     OpConstraint,
@@ -63,51 +63,68 @@ class ProtocolVerificationError(AssertionError):
     """A solved protocol failed an exact internal consistency check."""
 
 
+def _outer(u: tuple[int, ...], v: tuple[int, ...]) -> tuple[int, ...]:
+    """The tensor product u (x) v of two coordinate vectors."""
+    return tuple(x * y for x in u for y in v)
+
+
 @dataclass(frozen=True)
 class SideTable:
-    """One party's outcome operators in integer coordinates.
+    """One space's outcome operators in integer coordinates: a party's, or
+    the product space's in the tensor-product basis.
 
-    `coords[j - 1]` is `denominator` times `vectorize` of that party's
-    operator j, `denominator` being the lcm of every denominator on the
-    side, and `rays[j - 1]` is that vector divided by its gcd: the
-    primitive integer vector on the operator's ray, `ray_key` of its
-    coordinates.
+    `coords[j - 1]` is `denominator` times operator j's coordinates,
+    `rays[j - 1]` is that vector over its gcd (`ray_key`), and `identity`
+    is the space's identity's coordinates.  A party's are `vectorize`'s,
+    over the lcm of every denominator on the side (`of`); the product
+    space's are the outer products of the parties', over D_A * D_B.
     """
 
     denominator: int
     coords: tuple[tuple[int, ...], ...]
     rays: tuple[tuple[int, ...], ...]
+    identity: tuple[int, ...]
 
     @classmethod
-    def of(cls, vectors: list[RealVector]) -> "SideTable":
+    def of(cls, ops: list[HermitianOp]) -> "SideTable":
+        vectors = [vectorize(op) for op in ops]
         scale = math.lcm(*(v.denominator for vec in vectors for v in vec))
         coords = tuple(
             tuple(v.numerator * (scale // v.denominator) for v in vec) for vec in vectors
         )
-        return cls(scale, coords, tuple(ray_key(c) for c in coords))
+        d = ops[0].dim  # `vectorize` puts the d diagonal coordinates first
+        identity = (1,) * d + (0,) * (d * d - d)
+        return cls(scale, coords, tuple(ray_key(c) for c in coords), identity)
+
+    def product(self, other: "SideTable") -> "SideTable":
+        # The outer product of two primitive integer vectors is primitive.
+        return SideTable(
+            self.denominator * other.denominator,
+            tuple(map(_outer, self.coords, other.coords)),
+            tuple(map(_outer, self.rays, other.rays)),
+            _outer(self.identity, other.identity),
+        )
 
 
 @dataclass(frozen=True)
 class SeparableMeasurement:
     """Indexed product positive operators (A_j, B_j), j = 1..n.
 
-    Per party, the measurement keeps one integer table (`table`): a common
-    denominator D, each operator's integer coordinates over D and each
-    operator's primitive ray.  It is computed once, when the measurement is
-    built, and cached on it outside the dataclass fields, so equality and
-    repr are unchanged.  Everything exact downstream reads the table: the
-    cones of a search are built from its rays, the weight LP's rows are
-    integers over D_A * D_B and the tree systems' over D, and
-    `verify_protocol_exact` and `realize` sum coefficients times its
+    The measurement keeps one integer table (`SideTable`) per space, the
+    parties' `table("A")` and `table("B")` and the product space's
+    `table("AB")`, computed once, when the measurement is built, and cached
+    on it outside the dataclass fields, so equality and repr are unchanged.
+    Everything exact downstream reads them: the cones of a search are built
+    from the parties' rays, the tree systems' rows are integers over a
+    party's D and the weight LP's over D_A * D_B, and
+    `verify_protocol_exact` and `realize` sum coefficients times their
     integer coordinates.
 
-    Product operators are compared in the tensor-product basis, where
-    A_j (x) B_j has the coordinates `vec(A_j) (x) vec(B_j)`, vec being
-    `vectorize`.  `vec (x) vec`
-    is a linear bijection from Herm(dA) (x) Herm(dB) onto Herm(dA*dB), and
-    the outer product of two primitive integer vectors is primitive, so two
+    In the product table A_j (x) B_j has the coordinates
+    `vec(A_j) (x) vec(B_j)`, vec being `vectorize`.  `vec (x) vec` is a
+    linear bijection from Herm(dA) (x) Herm(dB) onto Herm(dA*dB), so two
     outcomes are equal, or positive multiples of each other, exactly when
-    the outer products of their two rays are equal.
+    their product rays are.
     """
 
     dA: int
@@ -127,7 +144,7 @@ class SeparableMeasurement:
                     raise MeasurementError(
                         f"outcome {j}: {side} operator fails is_psd"
                     )
-        rays = [_outer(a, b) for a, b in zip(self.table("A").rays, self.table("B").rays)]
+        rays = self.table("AB").rays
         for i, j in itertools.combinations(range(len(rays)), 2):
             if rays[i] == rays[j]:
                 raise MeasurementError(
@@ -136,10 +153,9 @@ class SeparableMeasurement:
 
     @functools.cached_property
     def _tables(self) -> dict[str, SideTable]:
-        return {
-            "A": SideTable.of([vectorize(a) for a, _ in self.outcomes]),
-            "B": SideTable.of([vectorize(b) for _, b in self.outcomes]),
-        }
+        ta = SideTable.of([a for a, _ in self.outcomes])
+        tb = SideTable.of([b for _, b in self.outcomes])
+        return {"A": ta, "B": tb, "AB": ta.product(tb)}
 
     @property
     def n_outcomes(self) -> int:
@@ -150,7 +166,7 @@ class SeparableMeasurement:
         return pair[0] if side == "A" else pair[1]
 
     def table(self, side: str) -> SideTable:
-        """The integer table of one party's outcome operators."""
+        """The integer table of one space: "A", "B" or the product "AB"."""
         return self._tables[side]
 
     def side_dim(self, side: str) -> int:
@@ -226,29 +242,17 @@ class NoLoccCertificate:
 SynthesisOutcome = Union[LOCCProtocol, NoLoccCertificate]
 
 
-@functools.cache
-def _identity_coords(dim: int) -> tuple[int, ...]:
-    """`vectorize` of the dim x dim identity: 1 on the diagonal
-    coordinates, which come first, and 0 after them."""
-    return (1,) * dim + (0,) * (dim * dim - dim)
-
-
 def validate_measurement(m: SeparableMeasurement) -> list[Fraction]:
     """Strictly positive weights r with sum r_j A_j (x) B_j = identity.
 
-    One unknown per outcome, whose column is vec(A_j) (x) vec(B_j) in the
-    tensor-product basis, vec being `vectorize`; the target is
-    vec(I_A) (x) vec(I_B).  Both are taken times D_A * D_B, so the column
-    is the outer product of the two sides' integer coordinates
-    (`SeparableMeasurement.table`), and `_rows` turns them into rows.
-    Solved exactly by `strict_positive_solution`, one phase-1 LP; when it
-    finds none, NotASeparableMeasurement is raised.
+    One unknown per outcome, whose column is the outcome's integer
+    coordinates in the product table (`table("AB")`); the target is that
+    table's `identity` times its denominator D_A * D_B, and `_rows` turns
+    them into rows.  Solved exactly by `strict_positive_solution`, one
+    phase-1 LP; when it finds none, NotASeparableMeasurement is raised.
     """
-    ta, tb = m.table("A"), m.table("B")
-    cols = [tuple(x * y for x in a for y in b) for a, b in zip(ta.coords, tb.coords)]
-    scale = ta.denominator * tb.denominator
-    ia, ib = _identity_coords(m.dA), _identity_coords(m.dB)
-    rows, rhs = _rows(cols, [scale * x * y for x in ia for y in ib])
+    t = m.table("AB")
+    rows, rhs = _rows(t.coords, [t.denominator * x for x in t.identity])
     point = strict_positive_solution(rows, rhs, m.n_outcomes)
     if point is None:
         raise NotASeparableMeasurement(
@@ -264,13 +268,12 @@ def _side_system(tree: Tree, m: SeparableMeasurement, side: str):
     (r on the lhs only), -1 (on the rhs only) or 0, then the root block:
     r's coordinates if r is in the root label, else 0.  The target is 0,
     then D * vec(I) on the root block."""
-    d = m.side_dim(side)
     table = m.table(side)
     root, second = tree.root, tree.root.children[0]
     root_label = root.terms if root.side == side else second.terms
     constraints = [c for c in tree.ledger if c.side == side]
     refs = sorted(set().union(root_label, *[c.refs() for c in constraints]))
-    zero = (0,) * (d * d)
+    zero = (0,) * len(table.identity)
     cols = []
     for r in refs:
         v = table.coords[r.j - 1]
@@ -280,7 +283,7 @@ def _side_system(tree: Tree, m: SeparableMeasurement, side: str):
             col.extend(v if sign > 0 else (-x for x in v) if sign else zero)
         col.extend(v if r in root_label else zero)
         cols.append(col)
-    target = zero * len(constraints) + tuple(table.denominator * x for x in _identity_coords(d))
+    target = zero * len(constraints) + tuple(table.denominator * x for x in table.identity)
     rows, rhs = _rows(cols, target)
     return rows, rhs, refs
 
@@ -419,22 +422,17 @@ def _complete_maps(tree, a_map, b_map):
     return q, p
 
 
-def _outer(u: tuple[int, ...], v: tuple[int, ...]) -> tuple[int, ...]:
-    """The tensor product u (x) v of two coordinate vectors."""
-    return tuple(x * y for x in u for y in v)
-
-
 def _side_sum(
     m: SeparableMeasurement,
     side: str,
     terms,
     coeffs: dict[LeafRef, Fraction],
 ) -> tuple[list[int], int]:
-    """sum coeffs[r] * m.op(side, r.j) over r in terms, exactly, as
-    (integer coordinates, positive denominator): its `vectorize` is the
-    coordinates divided by the denominator.  The coefficients are brought
-    to their common denominator, so the sum is of integers times the
-    table's integer coordinates.
+    """sum coeffs[r] * (operator r.j of `m.table(side)`) over r in terms,
+    exactly, as (integer coordinates, positive denominator): in the table's
+    basis the sum is the coordinates divided by the denominator.  The
+    coefficients are brought to their common denominator, so the sum is of
+    integers times the table's integer coordinates.
 
     Raises ProtocolVerificationError when a term has no coefficient or a
     negative one."""
@@ -445,7 +443,7 @@ def _side_sum(
             raise ProtocolVerificationError(f"{r} has a negative {side} coefficient")
     table = m.table(side)
     scale = math.lcm(*(coeffs[r].denominator for r in terms))
-    total = [0] * m.side_dim(side) ** 2
+    total = [0] * len(table.identity)
     for r in terms:
         c = coeffs[r]
         w = c.numerator * (scale // c.denominator)
@@ -472,10 +470,10 @@ def verify_protocol_exact(protocol: LOCCProtocol) -> None:
     `weights` is not q * p on exactly the leaves, or the leaves do not
     resolve the identity.
 
-    Every operator sum is compared as its exact coordinate vector, an
-    integer vector over one denominator, summed from the measurement's
-    integer tables (`_side_sum`): `vectorize`, and for the leaves the
-    tensor-product basis `vec (x) vec`, are linear and injective, so equal
+    Each check runs in the order listed and compares an exact coordinate
+    vector, an integer vector over one denominator, summed by `_side_sum`
+    from a party's integer table or, for the leaves' weights, the product
+    table: `vectorize` and `vec (x) vec` are linear and injective, so equal
     coordinates are equal operators.  No check reads the LP rows the
     coefficients were solved from.
     """
@@ -497,6 +495,9 @@ def verify_protocol_exact(protocol: LOCCProtocol) -> None:
     def value(side: str, terms) -> tuple[list[int], int]:
         return _side_sum(m, side, terms, coeffs[side])
 
+    def is_identity(side: str, terms, coeff) -> bool:
+        return _same_value(_side_sum(m, side, terms, coeff), (m.table(side).identity, 1))
+
     def walk(node: TreeNode) -> None:
         if node.leaf is not None:
             return
@@ -514,26 +515,12 @@ def verify_protocol_exact(protocol: LOCCProtocol) -> None:
             raise ProtocolVerificationError("ledger constraint violated")
     root, second = tree.root, tree.root.children[0]
     for node in (root, second):
-        coords, den = value(node.side, node.terms)
-        if coords != [den * t for t in _identity_coords(m.side_dim(node.side))]:
+        if not is_identity(node.side, node.terms, coeffs[node.side]):
             raise ProtocolVerificationError(f"{node.side} root is not the identity")
     weights = [protocol.q[r] * protocol.p[r] for r in leaves]
     if protocol.weights != dict(zip(leaves, weights)):
         raise ProtocolVerificationError("the weights are not q * p on the leaves")
-    # sum_r w_r vec(A_j) (x) vec(B_j), times the product of the weights'
-    # common denominator and D_A * D_B, against the identity's coordinates.
-    ta, tb = m.table("A"), m.table("B")
-    scale = math.lcm(*(w.denominator for w in weights))
-    total = [0] * (m.dA * m.dB) ** 2
-    for r, w in zip(leaves, weights):
-        wn = w.numerator * (scale // w.denominator)
-        pairs = itertools.product(ta.coords[r.j - 1], tb.coords[r.j - 1])
-        for k, (x, y) in enumerate(pairs):
-            if x and y:
-                total[k] += wn * x * y
-    den = scale * ta.denominator * tb.denominator
-    target = [den * x * y for x in _identity_coords(m.dA) for y in _identity_coords(m.dB)]
-    if total != target:
+    if not is_identity("AB", leaves, protocol.weights):
         raise ProtocolVerificationError("leaf weights do not resolve the identity")
 
 

@@ -282,13 +282,14 @@ def test_help_exits_0(capsys):
     assert capsys.readouterr().out.startswith("usage: loccsynth")
 
 
+def _no_search(m, cfg):
+    raise AssertionError("synthesize ran")
+
+
 @pytest.mark.parametrize("flag", ["--report", "--dot"])
 def test_unwritable_artifact_is_an_input_error(flag, monkeypatch, tmp_path, capsys):
     # The output path is checked before the search, which must not start.
-    def no_search(m, cfg):
-        raise AssertionError("synthesize ran")
-
-    monkeypatch.setattr(frontend_cli, "synthesize", no_search)
+    monkeypatch.setattr(frontend_cli, "synthesize", _no_search)
     path = tmp_path / "missing_dir" / "out"
     argv = [str(DATA / "product_basis_3x3.json"), "-L", "10", "--exhaustive"]
     assert main([*argv, flag, str(path)]) == 1
@@ -296,6 +297,39 @@ def test_unwritable_artifact_is_an_input_error(flag, monkeypatch, tmp_path, caps
     assert out.startswith(f"input error: cannot write {path}: ")
     assert len(out.splitlines()) == 1
     assert not path.exists()
+
+
+@pytest.mark.parametrize("flag", ["--report", "--dot"])
+def test_an_output_naming_the_input_is_an_input_error(flag, monkeypatch, tmp_path, capsys):
+    # Paths are compared resolved: a relative output names the absolute
+    # input.  No search runs, and the input is left byte for byte.
+    monkeypatch.setattr(frontend_cli, "synthesize", _no_search)
+    monkeypatch.chdir(tmp_path)
+    path = tmp_path / "m.json"
+    path.write_bytes((DATA / "product_basis_2x2.json").read_bytes())
+    before = path.read_bytes()
+    assert main([str(path), "-L", "4", flag, "m.json"]) == 1
+    out = capsys.readouterr().out
+    assert out == f"input error: {flag} m.json names the same file as the input\n"
+    assert path.read_bytes() == before
+
+
+@pytest.mark.parametrize("existing", [None, b"old tree\n"])
+def test_dot_and_report_naming_one_path_is_an_input_error(
+    existing, monkeypatch, tmp_path, capsys
+):
+    monkeypatch.setattr(frontend_cli, "synthesize", _no_search)
+    path = tmp_path / "out"
+    if existing is not None:
+        path.write_bytes(existing)
+    argv = [str(DATA / "product_basis_2x2.json"), "-L", "4"]
+    assert main([*argv, "--dot", str(path), "--report", str(path)]) == 1
+    out = capsys.readouterr().out
+    assert out == f"input error: --report {path} names the same file as --dot\n"
+    if existing is None:
+        assert not path.exists()
+    else:
+        assert path.read_bytes() == existing
 
 
 def test_failed_run_keeps_an_existing_report(tmp_path, capsys):

@@ -34,6 +34,7 @@ from loccsynth.protocol_tree import (
 )
 from loccsynth.synthesis_engine import (
     INCONCLUSIVE_CAPPED,
+    NO_LOCC_ANY_ROUNDS,
     NO_LOCC_WITHIN_L,
     LOCCProtocol,
     MeasurementError,
@@ -232,6 +233,19 @@ def test_verify_rejects_a_weight_other_than_q_times_p(example5_protocol):
         verify_protocol_exact(replace(out, weights=weights))
 
 
+def test_verify_checks_the_leaves_against_the_product_identity(example5_protocol):
+    # The leaves are summed on the product table and compared with its
+    # identity; the other checks read only the parties' tables.  So in a copy
+    # whose product identity is doubled, only the leaf check fails.
+    out = example5_protocol
+    m = SeparableMeasurement(out.measurement.dA, out.measurement.dB, out.measurement.outcomes)
+    verify_protocol_exact(replace(out, measurement=m))
+    ab = m.table("AB")
+    m._tables["AB"] = replace(ab, identity=tuple(2 * x for x in ab.identity))
+    with pytest.raises(ProtocolVerificationError, match="leaf weights do not resolve"):
+        verify_protocol_exact(replace(out, measurement=m))
+
+
 def test_verify_rejects_a_negative_coefficient_only_reference():
     # example4's protocol keeps 1.1 and 2.1 as B coefficients, not leaves.
     out = synthesize(BUILTIN["example4"](), SearchConfig(max_rounds=8))
@@ -244,30 +258,43 @@ def test_verify_rejects_a_negative_coefficient_only_reference():
 # --- coordinate vectors and integer tables, built once per measurement --------
 
 
-def _assert_table_matches_vectors(m):
-    for side in "AB":
-        table = m.table(side)
-        vectors = [vectorize(m.op(side, j)) for j in range(1, m.n_outcomes + 1)]
-        assert table.denominator == math.lcm(*(v.denominator for vec in vectors for v in vec))
-        for j, vec in enumerate(vectors, start=1):
-            ints = table.coords[j - 1]
-            assert all(type(v) is int for v in ints)
-            assert ints == tuple(v * table.denominator for v in vec)
-            assert table.rays[j - 1] == ray_key(vec)
-
-
 def _outer(u, v):
     return tuple(x * y for x in u for y in v)
 
 
+def _assert_table_matches_vectors(m):
+    vectors = {
+        side: [vectorize(m.op(side, j)) for j in range(1, m.n_outcomes + 1)]
+        for side in "AB"
+    }
+    identity = {side: vectorize(HermitianOp.identity(m.side_dim(side))) for side in "AB"}
+    # The product table holds A_j (x) B_j in the tensor-product basis.
+    vectors["AB"] = [_outer(a, b) for a, b in zip(vectors["A"], vectors["B"])]
+    identity["AB"] = _outer(identity["A"], identity["B"])
+    for side in ("A", "B", "AB"):
+        table = m.table(side)
+        if side == "AB":
+            den = m.table("A").denominator * m.table("B").denominator
+        else:
+            den = math.lcm(*(v.denominator for vec in vectors[side] for v in vec))
+        assert table.denominator == den
+        for j, vec in enumerate(vectors[side], start=1):
+            ints = table.coords[j - 1]
+            assert all(type(v) is int for v in ints)
+            assert ints == tuple(v * table.denominator for v in vec)
+            assert table.rays[j - 1] == ray_key(vec)
+        assert all(type(v) is int for v in table.identity)
+        assert table.identity == identity[side]
+
+
 def _assert_product_rays(m):
-    # The outcome coincidence check compares rayA (x) rayB: the ray of the
-    # product vector vec(A_j) (x) vec(B_j), the outer product of two
-    # primitive integer vectors being primitive.
+    # The outcome coincidence check compares the product table's rays:
+    # rayA (x) rayB is the ray of vec(A_j) (x) vec(B_j), the outer product
+    # of two primitive integer vectors being primitive.
     ta, tb = m.table("A"), m.table("B")
     for j, (a, b) in enumerate(m.outcomes):
         product = _outer(vectorize(a), vectorize(b))
-        assert _outer(ta.rays[j], tb.rays[j]) == ray_key(product)
+        assert m.table("AB").rays[j] == _outer(ta.rays[j], tb.rays[j]) == ray_key(product)
 
 
 @pytest.mark.parametrize("name", sorted(BUILTIN))
@@ -368,6 +395,28 @@ def test_cap_poisons_the_verdict():
     assert isinstance(out, NoLoccCertificate)
     assert out.verdict == INCONCLUSIVE_CAPPED
     assert out.stats.capped
+
+
+def test_a_truncated_enumeration_poisons_the_verdict(monkeypatch):
+    # No bundled measurement truncates family enumeration at small family
+    # caps, so here the enumeration returns its own families, marked as
+    # incomplete.  The run is otherwise the same, and the proven fixed
+    # point becomes INCONCLUSIVE_CAPPED.
+    cfg = SearchConfig(max_rounds=10)
+    plain = synthesize(BUILTIN["bennett9"](), cfg)
+    assert plain.verdict == NO_LOCC_ANY_ROUNDS and not plain.stats.capped
+    enumerate_families = synthesis_engine.mutually_intersecting_families
+
+    def truncated(*args, **kwargs):
+        families, _ = enumerate_families(*args, **kwargs)
+        return families, False
+
+    monkeypatch.setattr(synthesis_engine, "mutually_intersecting_families", truncated)
+    out = synthesize(BUILTIN["bennett9"](), cfg)
+    assert isinstance(out, NoLoccCertificate)
+    assert out.verdict == INCONCLUSIVE_CAPPED
+    assert out.stats.capped
+    assert replace(out.stats, capped=False) == plain.stats
 
 
 def test_example4_solution_has_unit_coefficients():
