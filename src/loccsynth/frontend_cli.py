@@ -22,11 +22,18 @@ report whose field order is fixed; the only varying fields live under
 Exit codes: 0 protocol found, 1 input error (bad file, bad measurement, bad
 flag, a protocol whose values no float can hold or whose float Kraus
 realization fails its PSD or Hermitian check, or an output path that
-cannot be written or that names the input file or the other output,
-both checked before the search), 2 no LOCC protocol (either
+cannot be opened for writing or that is the same file as the input or the
+other output, both checked before the search), 2 no LOCC protocol (either
 certificate), 3 inconclusive because a search cap truncated enumeration, 4
 protocol found but the floating-point instrument check failed (the report
 is still written).
+
+Each output path (--dot, --report) is opened once, before the search, without
+truncating, and written in place when the run ends; a regular file is then
+cut to the new length.  "The same file" means the same device and inode, so
+a hard link of the input counts.  A file the run created is kept only once
+its artifact is written there (a run with no protocol writes no DOT file); a
+run killed during the search leaves it behind, empty.
 """
 
 from __future__ import annotations
@@ -36,6 +43,7 @@ import dataclasses
 import json
 import os
 import re
+import stat
 import sys
 import time
 from fractions import Fraction
@@ -62,16 +70,18 @@ class MeasurementFileError(ValueError):
 
 # The only entry form: an integer or a fraction of integers, such as "-1/3".
 # Exponents ("1e100000") would make Fraction build huge integers.
-_FRACTION = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
+_FRACTION = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
 
 
 def _parse_fraction(text, where: str) -> Fraction:
     if not isinstance(text, str):
         raise MeasurementFileError(f"{where}: expected a fraction string, got {text!r}")
     try:
-        if not _FRACTION.fullmatch(text):
+        match = _FRACTION.fullmatch(text)
+        if not match:
             raise ValueError("expected an integer or p/q")
-        value = Fraction(text)
+        num, den = match.groups()
+        value = Fraction(int(num), int(den) if den else 1)
         # The Kraus realization works in floats, so every entry must fit one.
         float(value)
     except OverflowError:
@@ -99,9 +109,9 @@ def _parse_matrix(data, dim: int, where: str) -> HermitianOp:
             re = _parse_fraction(entry[0], f"{where} entry ({i},{j}) re")
             im = _parse_fraction(entry[1], f"{where} entry ({i},{j}) im")
             out.append(ExactComplex(re, im))
-        rows.append(out)
+        rows.append(tuple(out))
     try:
-        return HermitianOp.from_rows(rows)
+        return HermitianOp(dim, tuple(rows))
     except ValueError as exc:
         raise MeasurementFileError(f"{where}: {exc}") from None
 
@@ -208,9 +218,13 @@ def tree_to_dot(tree: Tree, solved: Optional[LOCCProtocol] = None) -> str:
 
 
 def _stats_dict(stats) -> dict:
-    report = dataclasses.asdict(stats)
+    # Shallow: json writes the tuples that asdict would have deep-copied.
+    def shallow(obj) -> dict:
+        return {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)}
+
+    report = shallow(stats)
     report["rounds"] = [
-        {"round": r.pop("round_index"), **r} for r in report.pop("rounds")
+        {"round": r.pop("round_index"), **r} for r in map(shallow, report.pop("rounds"))
     ]
     return report
 
@@ -219,16 +233,26 @@ def _coeff_dict(table: dict[LeafRef, Fraction]) -> dict:
     return {f"{r.j},{r.k}": str(v) for r, v in sorted(table.items())}
 
 
-def _check_writable(path) -> None:
-    """Raise OSError unless `path` can be opened for writing.
+def _open_output(path) -> tuple[int, bool]:
+    """A write descriptor for `path` and whether this call created the file.
 
-    Opened for appending, so an existing file keeps its content; a file the
-    check itself created is removed again."""
-    existed = os.path.lexists(path)
-    with open(path, "a"):
-        pass
-    if not existed:
-        os.unlink(path)
+    Nothing is truncated, so an existing file keeps its content until the
+    run writes its artifact over it."""
+    try:
+        return os.open(path, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666), True
+    except FileExistsError:
+        return os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), False
+
+
+def _write_output(fd: int, mode: int, text: str) -> None:
+    """Write `text` from the start of the open output `fd`; cut a regular
+    file to its length (a device such as /dev/null cannot be cut)."""
+    data = text.encode()
+    view = memoryview(data)
+    while view:
+        view = view[os.write(fd, view):]
+    if stat.S_ISREG(mode):
+        os.ftruncate(fd, len(data))
 
 
 # The round budget when none is given; the caps default to SearchConfig's.
@@ -248,9 +272,13 @@ def run(
     """Parse, synthesize, realize, verify; write artifacts; return exit code.
 
     The measurement's completeness weight LP runs once, inside synthesize.
-    The output paths are checked before the search: one that cannot be
-    written, or that names the input or the other output once resolved,
-    costs no search, writes nothing and prints only its input error."""
+    Each output path is opened once, before the search, and written in
+    place at the end, so an existing file keeps its content until then.
+    One that cannot be opened, or that is the same file (device and inode,
+    so hard links too) as the input or the other output, costs no search
+    and prints only its input error.  A file the run created is kept only
+    once its artifact is written there; a run killed during the search
+    leaves it behind, empty."""
     if out is None:
         out = sys.stdout
     started = time.monotonic()
@@ -262,93 +290,116 @@ def run(
             exhaustive=exhaustive,
         )
         m = read_measurement(path)
+        if dot_path or report_path:
+            st = os.stat(path)
+            named = {(st.st_dev, st.st_ino): "the input"}
     except (ValueError, OSError) as exc:
         print(f"input error: {exc}", file=out)
         return 1
-    # No output may name the input or the other output.  A path is resolved
-    # only once it has opened, so it has no symlink loop.
-    named = {Path(path).resolve(): "the input"}
-    for flag, artifact_path in (("--dot", dot_path), ("--report", report_path)):
-        if not artifact_path:
-            continue
-        try:
-            _check_writable(artifact_path)
-        except OSError as exc:
-            print(f"input error: cannot write {artifact_path}: {exc.strerror}", file=out)
-            return 1
-        key = Path(artifact_path).resolve()
-        if key in named:
-            clash = f"{flag} {artifact_path} names the same file as {named[key]}"
-            print(f"input error: {clash}", file=out)
-            return 1
-        named[key] = flag
+    outputs = {}  # flag -> (path, descriptor, st_mode, created)
+    written = ()  # the flags whose artifact was written
     try:
-        result = synthesize(m, cfg)
-    except MeasurementError as exc:
-        print(f"input error: {exc}", file=out)
-        return 1
-    report: dict = {
-        "input": str(path),
-        "dA": m.dA,
-        "dB": m.dB,
-        "outcomes": m.n_outcomes,
-        "max_rounds": max_rounds,
-    }
-    artifacts = []
-    if isinstance(result, LOCCProtocol):
+        # No output may be the input or the other output.  The descriptors
+        # stay open, so no inode named here is freed for a later path to reuse.
+        for flag, artifact_path in (("--dot", dot_path), ("--report", report_path)):
+            if not artifact_path:
+                continue
+            try:
+                fd, created = _open_output(artifact_path)
+            except OSError as exc:
+                print(
+                    f"input error: cannot write {artifact_path}: {exc.strerror}",
+                    file=out,
+                )
+                return 1
+            st = os.fstat(fd)
+            outputs[flag] = (artifact_path, fd, st.st_mode, created)
+            key = (st.st_dev, st.st_ino)
+            if key in named:
+                clash = f"{flag} {artifact_path} names the same file as {named[key]}"
+                print(f"input error: {clash}", file=out)
+                return 1
+            named[key] = flag
         try:
-            kp = realize(result)
-            instrument = verify_instrument(kp, m)
-        except OverflowError as exc:
-            # Entries that fit a float can still solve to values that do not.
-            print(f"input error: protocol values beyond float range ({exc})", file=out)
+            result = synthesize(m, cfg)
+        except MeasurementError as exc:
+            print(f"input error: {exc}", file=out)
             return 1
-        except ValueError as exc:
-            # Rounding can leave a float matrix outside the stage's tolerances.
-            print(f"input error: Kraus realization failed ({exc})", file=out)
-            return 1
-        report["verdict"] = "LOCC_PROTOCOL"
-        report["stats"] = _stats_dict(result.stats)
-        report["protocol"] = {
-            "leaves": len(result.weights),
-            "tree": tree_to_text(result.tree),
-            "q": _coeff_dict(result.q),
-            "p": _coeff_dict(result.p),
-            "weights": _coeff_dict(result.weights),
+        report: dict = {
+            "input": str(path),
+            "dA": m.dA,
+            "dB": m.dB,
+            "outcomes": m.n_outcomes,
+            "max_rounds": max_rounds,
         }
-        report["instrument"] = {
-            "closure_residual": instrument.closure_residual,
-            "leaf_residual": instrument.leaf_residual,
-            "completeness_residual": instrument.completeness_residual,
-            "completion_residual": instrument.completion_residual,
-            "ok": instrument.ok,
-        }
-        exit_code = 0 if instrument.ok else 4
-        print(
-            f"protocol found: {len(result.weights)} leaves, "
-            f"{result.stats.rounds_completed} rounds, "
-            f"instrument ok={instrument.ok}",
-            file=out,
-        )
-        if dot_path:
-            artifacts.append((dot_path, tree_to_dot(result.tree, result)))
-    else:
-        report["verdict"] = result.verdict
-        report["stats"] = _stats_dict(result.stats)
-        exit_code = 3 if result.verdict == INCONCLUSIVE_CAPPED else 2
-        print(f"no protocol: {result.verdict}", file=out)
-        if dot_path:
-            print("note: no protocol tree to render", file=out)
-    report["timing"] = {"wall_time_s": time.monotonic() - started}
-    if report_path:
-        artifacts.append((report_path, json.dumps(report, indent=1) + "\n"))
-    for artifact_path, text in artifacts:
-        try:
-            Path(artifact_path).write_text(text)
-        except OSError as exc:
-            print(f"input error: cannot write {artifact_path}: {exc.strerror}", file=out)
-            return 1
-    return exit_code
+        artifacts = []
+        if isinstance(result, LOCCProtocol):
+            try:
+                kp = realize(result)
+                instrument = verify_instrument(kp, m)
+            except OverflowError as exc:
+                # Entries that fit a float can still solve to values that do not.
+                print(
+                    f"input error: protocol values beyond float range ({exc})",
+                    file=out,
+                )
+                return 1
+            except ValueError as exc:
+                # Rounding can leave a float matrix outside the stage's tolerances.
+                print(f"input error: Kraus realization failed ({exc})", file=out)
+                return 1
+            report["verdict"] = "LOCC_PROTOCOL"
+            report["stats"] = _stats_dict(result.stats)
+            report["protocol"] = {
+                "leaves": len(result.weights),
+                "tree": tree_to_text(result.tree),
+                "q": _coeff_dict(result.q),
+                "p": _coeff_dict(result.p),
+                "weights": _coeff_dict(result.weights),
+            }
+            report["instrument"] = {
+                "closure_residual": instrument.closure_residual,
+                "leaf_residual": instrument.leaf_residual,
+                "completeness_residual": instrument.completeness_residual,
+                "completion_residual": instrument.completion_residual,
+                "ok": instrument.ok,
+            }
+            exit_code = 0 if instrument.ok else 4
+            print(
+                f"protocol found: {len(result.weights)} leaves, "
+                f"{result.stats.rounds_completed} rounds, "
+                f"instrument ok={instrument.ok}",
+                file=out,
+            )
+            if dot_path:
+                artifacts.append(("--dot", tree_to_dot(result.tree, result)))
+        else:
+            report["verdict"] = result.verdict
+            report["stats"] = _stats_dict(result.stats)
+            exit_code = 3 if result.verdict == INCONCLUSIVE_CAPPED else 2
+            print(f"no protocol: {result.verdict}", file=out)
+            if dot_path:
+                print("note: no protocol tree to render", file=out)
+        report["timing"] = {"wall_time_s": time.monotonic() - started}
+        if report_path:
+            artifacts.append(("--report", json.dumps(report, indent=1) + "\n"))
+        for flag, text in artifacts:
+            artifact_path, fd, mode, _ = outputs[flag]
+            try:
+                _write_output(fd, mode, text)
+            except OSError as exc:
+                print(
+                    f"input error: cannot write {artifact_path}: {exc.strerror}",
+                    file=out,
+                )
+                return 1
+        written = [flag for flag, _ in artifacts]
+        return exit_code
+    finally:
+        for flag, (artifact_path, fd, _, created) in outputs.items():
+            os.close(fd)
+            if created and flag not in written:
+                os.unlink(artifact_path)
 
 
 class _FlagError(Exception):

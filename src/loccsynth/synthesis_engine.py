@@ -162,15 +162,26 @@ class SeparableMeasurement:
         return len(self.outcomes)
 
     def op(self, side: str, j: int) -> HermitianOp:
-        pair = self.outcomes[j - 1]
-        return pair[0] if side == "A" else pair[1]
+        """Party `side`'s ("A" or "B") operator of outcome j (from 1)."""
+        return self.outcomes[j - 1][_party(side)]
 
     def table(self, side: str) -> SideTable:
         """The integer table of one space: "A", "B" or the product "AB"."""
         return self._tables[side]
 
     def side_dim(self, side: str) -> int:
-        return self.dA if side == "A" else self.dB
+        """Party `side`'s ("A" or "B") dimension."""
+        return (self.dA, self.dB)[_party(side)]
+
+
+def _party(side: str) -> int:
+    """0 for "A", 1 for "B"; any other key, the product's "AB" included,
+    names no party."""
+    if side == "A":
+        return 0
+    if side == "B":
+        return 1
+    raise ValueError(f"{side!r} is not a party: expected 'A' or 'B'")
 
 
 @dataclass(frozen=True)

@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -119,6 +120,51 @@ def test_round_trip_is_identity(tmp_path):
     assert measurement_from_dict(measurement_to_dict(m)) == m
 
 
+# The entry regex and Fraction(text) parse, before entries were built from
+# their integer groups: the reference `_parse_fraction` must agree with.
+_TEXT_FRACTION = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
+
+
+def _parse_fraction_from_text(text, where):
+    try:
+        if not _TEXT_FRACTION.fullmatch(text):
+            raise ValueError("expected an integer or p/q")
+        value = Fraction(text)
+        float(value)
+    except OverflowError:
+        raise MeasurementFileError(
+            f"{where}: bad fraction {text!r} (beyond float range)"
+        ) from None
+    except (ValueError, ZeroDivisionError) as exc:
+        raise MeasurementFileError(f"{where}: bad fraction {text!r} ({exc})") from None
+    return value
+
+
+ENTRIES = [
+    "0", "-0", "+7", "007/010", "-48/125",
+    "1/0", "1/-2", "1.5", "1e5", " 1", "1_000", "\u0663",
+    "1" + "0" * 400,  # beyond float range
+    "1/" + "0" * 400 + "1",  # 1/1: fits
+    "1/" + "1" * 5000,  # past int's default 4300-digit string limit
+]
+
+
+def _entry_id(text):
+    return ascii(text[:12]) + (f"..{len(text)}" if len(text) > 12 else "")
+
+
+@pytest.mark.parametrize("text", ENTRIES, ids=map(_entry_id, ENTRIES))
+def test_entries_parse_as_the_fraction_of_their_text(text):
+    def outcome(parse):
+        try:
+            value = parse(text, "outcome 1 side A entry (0,0) re")
+        except MeasurementFileError as exc:
+            return "error", str(exc)
+        return "value", type(value), value
+
+    assert outcome(frontend_cli._parse_fraction) == outcome(_parse_fraction_from_text)
+
+
 # --- run ----------------------------------------------------------------------
 
 
@@ -194,6 +240,13 @@ def _huge_entry_doc():
     return {"dA": 1, "dB": 1, "outcomes": [{"A": [[entry(big)]], "B": [[entry("1")]]}]}
 
 
+def _one_row_incomplete_doc():
+    # One outcome diag(1, 0) (x) (1): the weight LP's row for the second
+    # diagonal entry reads 0 = 1.
+    a = [[entry("1"), entry("0")], [entry("0"), entry("0")]]
+    return {"dA": 2, "dB": 1, "outcomes": [{"A": a, "B": [[entry("1")]]}]}
+
+
 def _huge_weight_doc():
     # Every entry fits a float, but the completing weight 10^400 does not.
     tiny = "1/1" + "0" * 200
@@ -204,6 +257,7 @@ def _huge_weight_doc():
     "doc, message",
     [
         (_incomplete_doc(), "strictly positive weights"),
+        (_one_row_incomplete_doc(), "strictly positive weights"),
         (7, "the top level must be a JSON object"),
         ({**tiny_doc(), "outcomes": 5}, "'outcomes' must be a list"),
         (_exponent_doc(), "bad fraction '1e100000'"),
@@ -212,6 +266,7 @@ def _huge_weight_doc():
     ],
     ids=[
         "incomplete",
+        "one_row_incomplete",
         "top_level_not_object",
         "outcomes_not_list",
         "exponent_entry",
@@ -341,6 +396,74 @@ def test_failed_run_keeps_an_existing_report(tmp_path, capsys):
     assert run(path, report_path=rep) == 1
     assert "protocol values beyond float range" in capsys.readouterr().out
     assert rep.read_text() == "old report\n"
+
+
+def _masked_report(path):
+    # A report's bytes with its one varying value, the wall time, masked.
+    return re.sub(rb'"wall_time_s": [^\n]*', b'"wall_time_s": T', path.read_bytes())
+
+
+def test_a_report_over_a_longer_file_holds_only_the_new_bytes(tmp_path, capsys):
+    fresh, old = tmp_path / "fresh.json", tmp_path / "old.json"
+    assert run(DATA / "example4.json", max_rounds=8, report_path=fresh) == 0
+    old.write_bytes(b"x" * (3 * fresh.stat().st_size) + b"\n")
+    assert run(DATA / "example4.json", max_rounds=8, report_path=old) == 0
+    assert _masked_report(old) == _masked_report(fresh)
+    json.loads(old.read_text())
+    capsys.readouterr()
+
+
+@pytest.mark.skipif(not os.path.exists(os.devnull), reason="no null device")
+@pytest.mark.parametrize("name", ["product_basis_2x2", "bennett9"])
+def test_a_report_to_the_null_device_changes_nothing(name, capsys):
+    # A device cannot be truncated; the run must not try.
+    plain = run(DATA / f"{name}.json", max_rounds=4)
+    printed = capsys.readouterr().out
+    assert run(DATA / f"{name}.json", max_rounds=4, report_path=os.devnull) == plain
+    assert capsys.readouterr().out == printed
+
+
+def test_a_report_naming_a_hard_link_of_the_input_is_an_input_error(
+    monkeypatch, tmp_path, capsys
+):
+    # The same file means the same device and inode, whatever its name.
+    monkeypatch.setattr(frontend_cli, "synthesize", _no_search)
+    path, link = tmp_path / "m.json", tmp_path / "link.json"
+    path.write_bytes((DATA / "product_basis_2x2.json").read_bytes())
+    before = path.read_bytes()
+    try:
+        os.link(path, link)
+    except OSError as exc:
+        pytest.skip(f"no hard links here: {exc.strerror}")
+    assert main([str(path), "-L", "4", "--report", str(link)]) == 1
+    out = capsys.readouterr().out
+    assert out == f"input error: --report {link} names the same file as the input\n"
+    assert path.read_bytes() == before
+
+
+def test_a_successful_run_creates_its_report_once(monkeypatch, tmp_path, capsys):
+    # A new report path is opened once and never removed and made again.
+    def no_unlink(path, *args, **kwargs):
+        raise AssertionError(f"unlink({path!r})")
+
+    rep = tmp_path / "report.json"
+    monkeypatch.setattr(frontend_cli.os, "unlink", no_unlink)
+    assert run(DATA / "product_basis_2x2.json", max_rounds=4, report_path=rep) == 0
+    assert json.loads(rep.read_text())["verdict"] == "LOCC_PROTOCOL"
+    capsys.readouterr()
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+def test_a_failed_write_removes_the_files_the_run_created(tmp_path, capsys):
+    # /dev/full refuses every write: the DOT file, written first, goes too.
+    dot = tmp_path / "tree.dot"
+    code = run(
+        DATA / "product_basis_2x2.json", max_rounds=4, dot_path=dot, report_path="/dev/full"
+    )
+    assert code == 1
+    out = capsys.readouterr().out
+    assert out.endswith("input error: cannot write /dev/full: No space left on device\n")
+    assert not dot.exists()
 
 
 def _threshold_doc(s, delta, rotate=False):

@@ -79,6 +79,19 @@ def test_ingest_rejects_dimension_mismatch():
         SeparableMeasurement(2, 3, ((HermitianOp.identity(2), HermitianOp.identity(2)),))
 
 
+@pytest.mark.parametrize("key", ["AB", "C"])
+def test_only_a_party_has_operators_and_a_dimension(key):
+    # example5 has dA = 2 and dB = 3; the product table "AB" is no party.
+    m = BUILTIN["example5"]()
+    assert (m.side_dim("A"), m.side_dim("B")) == (2, 3)
+    assert (m.op("A", 2), m.op("B", 2)) == m.outcomes[1]
+    assert len(m.table("AB").coords[0]) == 36
+    with pytest.raises(ValueError, match=f"{key!r} is not a party"):
+        m.side_dim(key)
+    with pytest.raises(ValueError, match=f"{key!r} is not a party"):
+        m.op(key, 1)
+
+
 # --- validate_measurement -------------------------------------------------------
 
 
